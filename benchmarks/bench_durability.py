@@ -23,12 +23,19 @@ this benchmark measures it and pins the floor:
   cold and verified: every acknowledged 200 has its exact charge in the
   recovered state (no admitted charge lost), and the journal passes the
   read-only integrity check.
+* ``compaction`` — a group-commit ledger prepopulated with one charge
+  for each of 5e4 users (1e5 in full mode) is driven through the
+  server, counting the bytes written to the journal and to snapshots.
+  Auto-compaction waits for the journal to outgrow the last snapshot,
+  so the snapshot bytes per charge must stay within **2x** the journal
+  bytes per charge of the same run, however many users there are.
 
 Standalone: ``PYTHONPATH=src:benchmarks python benchmarks/bench_durability.py``
 (``--quick`` for a CI smoke run; ``--check`` enforces the durable
-group-commit floor — **>= 5e3 batched requests/sec** — in quick mode
-too, plus the recovery assertions). Emits a ``BENCH {json}`` line and
-writes ``benchmarks/out/BENCH_durability.json``.
+group-commit floor — **>= 5e3 batched requests/sec** — and the
+compaction ratio in quick mode too, plus the recovery assertions).
+Emits a ``BENCH {json}`` line and writes
+``benchmarks/out/BENCH_durability.json``.
 """
 
 import argparse
@@ -45,12 +52,20 @@ import numpy as np
 from _report import emit, emit_bench
 
 from repro.release.artifacts import ArtifactSpec, ArtifactStore
-from repro.release.durable_ledger import DurableLedger, verify_ledger_dir
+from repro.release.durable_ledger import (
+    DurableLedger,
+    LedgerFS,
+    verify_ledger_dir,
+)
 from repro.serving import InProcessClient, MechanismServer
 
 #: Acceptance floor (enforced by ``--check`` even in quick mode): the
 #: group-commit durable serving path must sustain this request rate.
 DURABLE_QPS_FLOOR = 5e3
+
+#: Compaction ceiling (enforced by ``--check`` even in quick mode):
+#: snapshot bytes written per charge over journal bytes per charge.
+SNAPSHOT_TO_WAL_CEILING = 2.0
 
 #: The deployment mix (mixed n and alpha: every flush is a fused
 #: heterogeneous gather AND a multi-user group commit).
@@ -177,6 +192,66 @@ def check_recovery(store, *, requests, users, concurrency, tmp):
     }
 
 
+class ByteTally(LedgerFS):
+    """The real filesystem, counting the bytes written to the journal
+    and to snapshots."""
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.wal_bytes = 0
+        self.snapshot_bytes = 0
+
+    def write(self, handle, data: bytes) -> None:
+        super().write(handle, data)
+        name = Path(str(handle.name)).name
+        if name == "wal.jsonl":
+            self.wal_bytes += len(data)
+        elif name.startswith(".snapshot.json-"):
+            self.snapshot_bytes += len(data)
+
+
+def bench_compaction(store, *, users, requests, concurrency, tmp):
+    """Drive a ledger prepopulated with ``users`` users and compare the
+    snapshot bytes it writes per charge with its journal bytes."""
+    tally = ByteTally()
+    ledger = DurableLedger(
+        Path(tmp) / "ledger-compaction", fsync="group", fs=tally
+    )
+    every, ledger.snapshot_every = ledger.snapshot_every, 0
+    for index in range(users):
+        ledger.charge(f"u{index}", Fraction(1, 2), label="prepopulate")
+    ledger.snapshot_every = every
+    ledger.compact()
+    start = ledger.stats()
+    tally.reset()
+    server = MechanismServer(
+        store, batch_window=0.001, audit_rate=0.0, seed=31, ledger=ledger
+    )
+    server.load_store()
+    wall, _lat, statuses = asyncio.run(
+        drive(server, requests=requests, users=users, concurrency=concurrency)
+    )
+    assert statuses == {200: requests}, f"unexpected statuses: {statuses}"
+    end = ledger.stats()
+    asyncio.run(server.stop())
+    wal_per_charge = tally.wal_bytes / requests
+    snapshot_per_charge = tally.snapshot_bytes / requests
+    return {
+        "prepopulated_users": users,
+        "requests": requests,
+        "qps": requests / wall,
+        "snapshot_every": every,
+        "first_snapshot_bytes": start["snapshot_bytes"],
+        "last_snapshot_bytes": end["snapshot_bytes"],
+        "compactions": end["compactions"] - start["compactions"],
+        "wal_bytes_per_charge": wal_per_charge,
+        "snapshot_bytes_per_charge": snapshot_per_charge,
+        "snapshot_to_wal": snapshot_per_charge / wal_per_charge,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -186,16 +261,20 @@ def main(argv=None):
         "--check",
         action="store_true",
         help="exit nonzero when the durable group-commit floor "
-        "(>= 5e3 requests/sec) is missed — enforced in quick mode too",
+        "(>= 5e3 requests/sec) or the compaction ceiling (snapshot "
+        "bytes <= 2x journal bytes per charge) is missed — enforced in "
+        "quick mode too",
     )
     args = parser.parse_args(argv)
 
     if args.quick:
         requests, users, concurrency = 10_000, 5_000, 1024
         always_requests = 1_500
+        compaction_users, compaction_requests = 50_000, 40_000
     else:
         requests, users, concurrency = 120_000, 50_000, 2048
         always_requests = 8_000
+        compaction_users, compaction_requests = 100_000, 120_000
 
     with tempfile.TemporaryDirectory(prefix="bench-durability-") as tmp:
         store = build_store(Path(tmp) / "artifacts")
@@ -222,6 +301,11 @@ def main(argv=None):
             requests=requests // 2, users=users,
             concurrency=concurrency, tmp=tmp,
         )
+        compaction = bench_compaction(
+            store,
+            users=compaction_users, requests=compaction_requests,
+            concurrency=concurrency, tmp=tmp,
+        )
 
     by_mode = {row["mode"]: row for row in modes}
     results = {
@@ -231,7 +315,11 @@ def main(argv=None):
         ],
         "modes": modes,
         "recovery": recovery,
-        "targets": {"durable_group_qps": DURABLE_QPS_FLOOR},
+        "compaction": compaction,
+        "targets": {
+            "durable_group_qps": DURABLE_QPS_FLOOR,
+            "snapshot_to_wal_max": SNAPSHOT_TO_WAL_CEILING,
+        },
     }
 
     lines = ["durable privacy budgets under serving load:"]
@@ -252,6 +340,12 @@ def main(argv=None):
         "charges recovered exactly ({recovered_users} users, "
         "{journal_records} journal records; integrity OK)".format(**recovery)
     )
+    lines.append(
+        "  compaction: {prepopulated_users:,} users, {requests:,} charges, "
+        "{compactions} snapshot(s): {snapshot_bytes_per_charge:.0f} snapshot "
+        "B vs {wal_bytes_per_charge:.0f} journal B per charge "
+        "(ratio {snapshot_to_wal:.2f})".format(**compaction)
+    )
     emit("durability", "\n".join(lines))
     emit_bench("durability", results)
 
@@ -261,6 +355,13 @@ def main(argv=None):
             print(
                 f"durability target missed: group-commit qps "
                 f"{group_qps:.0f}/s < {DURABLE_QPS_FLOOR:.0e}/s"
+            )
+            return 1
+        ratio = compaction["snapshot_to_wal"]
+        if ratio > SNAPSHOT_TO_WAL_CEILING:
+            print(
+                f"compaction target missed: {ratio:.2f}x as many snapshot "
+                f"as journal bytes per charge > {SNAPSHOT_TO_WAL_CEILING}x"
             )
             return 1
     return 0

@@ -32,6 +32,12 @@ disks. This module is the durability layer:
   release count per user, plus the idempotency replay cache) and then
   truncates the journal. A crash between the two is safe: replay skips
   journal records at or below the snapshot's sequence number.
+  Auto-compaction waits until the journal is at least as large as the
+  last snapshot (and ``snapshot_every`` appends old), so the snapshot
+  bytes written never exceed the journal bytes they retire: compaction
+  costs O(1) per charge however many users the ledger holds, and
+  recovery replays a journal no larger than the snapshot (about
+  ``snapshot_every`` records while the snapshot is smaller than that).
 * **Multi-process sharing** — every mutation holds an advisory
   ``flock`` on ``ledger.lock`` and first catches up on records appended
   by sibling processes (incremental from the last applied byte offset),
@@ -221,17 +227,38 @@ class ChargeDecision:
         return self.outcome == "charged"
 
 
+#: Canonical JSON: sorted keys, no whitespace. The checksum covers this
+#: encoding of a record, so it must never change for format version 1.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _encode_record(record: dict) -> bytes:
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    crc = format(zlib.crc32(body.encode("utf-8")), "08x")
-    framed = dict(record)
-    framed["crc"] = crc
-    return (
-        json.dumps(framed, sort_keys=True, separators=(",", ":")).encode(
-            "utf-8"
-        )
-        + b"\n"
-    )
+    """Frame ``record`` as one checksummed journal line.
+
+    The line is the canonical encoding of ``record`` with a ``"crc"``
+    key added, whose value is the CRC-32 of the canonical encoding of
+    ``record`` itself. The two encodings share every byte outside the
+    crc member, so the record is encoded once, as the keys that sort
+    before ``"crc"`` and the keys that sort after it; the checksum runs
+    over their join and the crc member is spliced in between. A
+    top-level ``"crc"`` key belongs to the framing and is not allowed
+    in ``record``.
+    """
+    head = _canonical(
+        {k: v for k, v in record.items() if k < "crc"}
+    ).encode()[:-1]
+    tail = _canonical(
+        {k: v for k, v in record.items() if k > "crc"}
+    ).encode()[1:]
+    lead, trail = head != b"{", tail != b"}"
+    crc = zlib.crc32(head)
+    if lead and trail:
+        crc = zlib.crc32(b",", crc)
+    crc = zlib.crc32(tail, crc)
+    return b"".join((
+        head, b',"crc":"' if lead else b'"crc":"', b"%08x" % crc,
+        b'",' if trail else b'"', tail, b"\n",
+    ))
 
 
 def _decode_record(line: bytes) -> dict | None:
@@ -243,8 +270,7 @@ def _decode_record(line: bytes) -> dict | None:
     if not isinstance(obj, dict):
         return None
     crc = obj.pop("crc", None)
-    body = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    if crc != format(zlib.crc32(body.encode("utf-8")), "08x"):
+    if crc != format(zlib.crc32(_canonical(obj).encode()), "08x"):
         return None
     if not isinstance(obj.get("seq"), int):
         return None
@@ -401,23 +427,26 @@ class MemoryLedgerBook:
     def charge(
         self, user: str, alpha, *, label: str = "release", idem=None
     ) -> ChargeDecision:
+        check_alpha(alpha)
         with self._lock:
             if idem is not None:
                 decision = self._replay_decision(user, idem)
                 if decision is not None:
                     return decision
             book = self.book(user)
-            if not book.try_charge(alpha, label=label):
+            proposed = book.cumulative_alpha * alpha
+            if not book.admits(proposed):
                 return ChargeDecision(
                     "rejected", user, book.cumulative_alpha,
                     book.remaining_alpha,
                 )
+            book.record(alpha, proposed, label=label)
             if idem is not None:
                 self._replay.put(
                     idem, {"user": user, "status": None, "response": None}
                 )
             return ChargeDecision(
-                "charged", user, book.cumulative_alpha, book.remaining_alpha
+                "charged", user, proposed, book.remaining_alpha
             )
 
     def _replay_decision(self, user, idem) -> ChargeDecision | None:
@@ -495,8 +524,11 @@ class DurableLedger(MemoryLedgerBook):
     fsync:
         One of :data:`FSYNC_MODES`.
     snapshot_every:
-        Auto-compact after this many journal appends (``0`` disables;
-        :meth:`compact` always works explicitly).
+        Auto-compact once at least this many journal appends have
+        happened since the last snapshot *and* the journal has grown to
+        the size of that snapshot (``0`` disables; :meth:`compact`
+        always works explicitly). Recovery then replays at most
+        ``max(snapshot size, snapshot_every records)`` of journal.
     replay_cap:
         Bound on completed idempotency-replay entries held (pending
         charges are never evicted).
@@ -810,7 +842,8 @@ class DurableLedger(MemoryLedgerBook):
                 if decision is not None:
                     return decision
             book = self.book(user)
-            if not book.can_afford(alpha):
+            proposed = book.cumulative_alpha * alpha
+            if not book.admits(proposed):
                 return ChargeDecision(
                     "rejected", user, book.cumulative_alpha,
                     book.remaining_alpha,
@@ -820,7 +853,7 @@ class DurableLedger(MemoryLedgerBook):
                 "seq": self._seq + 1,
                 "user": user,
                 "alpha": str(alpha),
-                "cum": str(book.cumulative_alpha * alpha),
+                "cum": str(proposed),
                 "label": label,
             }
             if idem is not None:
@@ -828,13 +861,13 @@ class DurableLedger(MemoryLedgerBook):
             self._faults.crash("charge.before-append")
             self._append(record)
             self._faults.crash("charge.after-fsync")
-            book.charge(alpha, label=label)
+            book.record(alpha, proposed, label=label)
             if idem is not None:
                 self._replay.put(
                     idem, {"user": user, "status": None, "response": None}
                 )
             decision = ChargeDecision(
-                "charged", user, book.cumulative_alpha, book.remaining_alpha
+                "charged", user, proposed, book.remaining_alpha
             )
             self._maybe_compact()
             return decision
@@ -928,10 +961,19 @@ class DurableLedger(MemoryLedgerBook):
             self._fsyncs += 1
 
     # -- snapshot + compaction -----------------------------------------
+    def _snapshot_bytes(self) -> int:
+        """Size of the snapshot this instance last wrote or loaded."""
+        return 0 if self._snap_stat is None else self._snap_stat[1]
+
     def _maybe_compact(self) -> None:
+        # Snapshot only once the journal has outgrown the last snapshot:
+        # rewriting every user then costs at most the journal bytes it
+        # retires, so compaction stays O(1) per append however many
+        # users the ledger holds.
         if (
             self.snapshot_every > 0
             and self._appends_since_snapshot >= self.snapshot_every
+            and self._size >= self._snapshot_bytes()
         ):
             self._compact_locked()
 
@@ -1001,6 +1043,8 @@ class DurableLedger(MemoryLedgerBook):
             "seq": self._seq,
             "snapshot_seq": self._snapshot_seq,
             "journal_bytes": self._size,
+            # The journal must outgrow this before auto-compaction runs.
+            "snapshot_bytes": self._snapshot_bytes(),
             "replay_entries": len(self._replay),
             "fsyncs": self._fsyncs,
             "compactions": self._compactions,

@@ -124,6 +124,10 @@ class PrivacyLedger:
             return True
         return self.cumulative_alpha * alpha >= self.floor
 
+    def admits(self, proposed) -> bool:
+        """Whether the joint guarantee ``proposed`` keeps the floor."""
+        return self.floor == 0 or proposed >= self.floor
+
     def charge(self, alpha, *, label: str = "release") -> None:
         """Record a release at level ``alpha``.
 
@@ -134,11 +138,19 @@ class PrivacyLedger:
         """
         check_alpha(alpha)
         proposed = self.cumulative_alpha * alpha
-        if self.floor != 0 and proposed < self.floor:
+        if not self.admits(proposed):
             raise BudgetExceededError(
                 f"release {label!r} at alpha={alpha} would take the joint "
                 f"guarantee to {proposed}, below the floor {self.floor}"
             )
+        self.record(alpha, proposed, label=label)
+
+    def record(self, alpha, proposed, *, label: str = "release") -> None:
+        """Append a release whose ``alpha`` the caller already validated
+        and whose joint guarantee ``proposed`` (the current cumulative
+        times ``alpha``) it already computed and checked with
+        :meth:`admits`. The ledger books use this so one charge
+        validates and multiplies once; the caller serializes it."""
         self._entries.append(
             LedgerEntry(
                 label=label, alpha=alpha, cumulative_alpha=proposed

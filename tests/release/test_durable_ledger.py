@@ -18,17 +18,24 @@ The invariants under test (see the module docstring of
 import json
 import multiprocessing
 import os
+import random
+import zlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ReproError, ValidationError
+from repro.release import durable_ledger
 from repro.release.durable_ledger import (
     FSYNC_MODES,
     DurableLedger,
     LedgerCorruptionError,
+    LedgerFS,
     LedgerUnavailableError,
     MemoryLedgerBook,
+    _encode_record,
     verify_ledger_dir,
 )
 from repro.release.ledger import ConcurrentPrivacyLedger, PrivacyLedger
@@ -282,12 +289,258 @@ class TestRecovery:
         record = json.loads(wal.read_bytes())
         record["cum"] = "1/3"  # inconsistent with alpha product
         del record["crc"]
-        from repro.release.durable_ledger import _encode_record
-
         wal.write_bytes(_encode_record(record))
         report = verify_ledger_dir(ledger_dir)
         assert not report["ok"]
         assert any("running product" in f for f in report["failures"])
+
+
+class CountingFS(LedgerFS):
+    """The real filesystem, tallying the size of every journal and
+    snapshot write."""
+
+    def __init__(self) -> None:
+        self.wal: list[int] = []
+        self.snapshots: list[int] = []
+
+    def write(self, handle, data: bytes) -> None:
+        super().write(handle, data)
+        name = os.path.basename(str(handle.name))
+        if name == "wal.jsonl":
+            self.wal.append(len(data))
+        elif name.startswith(".snapshot.json-"):
+            self.snapshots.append(len(data))
+
+
+def prepopulate(ledger_dir, users: int, floor) -> dict:
+    """Charge ``users`` users once at 1/2 and compact them into one
+    snapshot; returns the model ``{user: cumulative}``."""
+    ledger = DurableLedger(ledger_dir, floor, fsync="off", snapshot_every=0)
+    model = {}
+    for index in range(users):
+        user = f"user-{index}"
+        assert ledger.charge(user, HALF).charged
+        model[user] = HALF
+    ledger.compact()
+    ledger.close()
+    return model
+
+
+class TestCompactionIsAmortized:
+    """Auto-compaction waits for the journal to outgrow the last
+    snapshot, so its work per charge does not grow with the user count."""
+
+    USERS = 2000
+    EVERY = 16
+    FLOOR = Fraction(1, 16)
+    ALPHAS = (HALF, Fraction(2, 3), Fraction(9, 10))
+
+    def test_snapshot_work_is_bounded_by_journal_work(self, ledger_dir):
+        model = prepopulate(ledger_dir, self.USERS, self.FLOOR)
+        releases = dict.fromkeys(model, 1)
+        fs = CountingFS()
+        ledger = DurableLedger(
+            ledger_dir, fsync="off", snapshot_every=self.EVERY, fs=fs
+        )
+        rng = random.Random(11)
+        outcomes = {"charged": 0, "rejected": 0}
+        for _ in range(4000):
+            # a fifth of the traffic is users the snapshot never held
+            user = f"user-{rng.randrange(self.USERS * 5 // 4)}"
+            alpha = rng.choice(self.ALPHAS)
+            proposed = model.get(user, Fraction(1)) * alpha
+            decision = ledger.charge(user, alpha)
+            outcomes[decision.outcome] += 1
+            if proposed >= self.FLOOR:
+                assert decision.charged
+                assert decision.cumulative_alpha == proposed
+                model[user] = proposed
+                releases[user] = releases.get(user, 0) + 1
+            else:
+                assert decision.outcome == "rejected"
+        compactions = ledger.stats()["compactions"]
+        ledger.close()
+        assert outcomes["charged"] > 0 and outcomes["rejected"] > 0
+        # The journal outgrew the snapshot several times, yet far fewer
+        # snapshots ran than one per EVERY appends.
+        assert 2 <= compactions < len(fs.wal) // self.EVERY // 10
+        assert len(fs.snapshots) == compactions
+        assert sum(fs.snapshots) <= sum(fs.wal) + max(fs.snapshots)
+
+        record = max(fs.wal)
+        journal = os.path.getsize(ledger_dir / "wal.jsonl")
+        snapshot = os.path.getsize(ledger_dir / "snapshot.json")
+        assert journal <= max(snapshot, self.EVERY * record) + record
+
+        back = reopen(ledger_dir)
+        assert back.users() == len(model)
+        for user, cumulative in model.items():
+            budget = back.view(user)
+            assert budget.cumulative_alpha == cumulative
+            assert budget.releases == releases[user]
+        back.close()
+        assert verify_ledger_dir(ledger_dir)["ok"]
+
+    def test_stats_report_the_snapshot_size(self, ledger_dir):
+        ledger = DurableLedger(ledger_dir)
+        assert ledger.stats()["snapshot_bytes"] == 0
+        ledger.charge("u", HALF)
+        ledger.compact()
+        assert ledger.stats()["snapshot_bytes"] == os.path.getsize(
+            ledger_dir / "snapshot.json"
+        )
+        ledger.close()
+
+    def test_small_snapshot_still_compacts_every_few_appends(
+        self, ledger_dir
+    ):
+        ledger = DurableLedger(ledger_dir, snapshot_every=4)
+        for _ in range(4):
+            ledger.charge("u", HALF)
+        assert ledger.stats()["compactions"] == 1  # no snapshot yet: size 0
+        ledger.close()
+
+    @pytest.mark.chaos
+    def test_crash_after_snapshot_with_large_journal(self, ledger_dir):
+        """Die between writing the snapshot and truncating a journal as
+        large as it: recovery must apply none of those records twice."""
+        model = prepopulate(ledger_dir, self.USERS, self.FLOOR)
+        releases = dict.fromkeys(model, 1)
+        first_snapshot = os.path.getsize(ledger_dir / "snapshot.json")
+        faults = FaultInjector().crash_at("compact.after-snapshot")
+        ledger = DurableLedger(
+            ledger_dir, fsync="off", snapshot_every=self.EVERY,
+            faults=faults,
+        )
+        step = Fraction(9, 10)
+        for index in range(10 * self.USERS):
+            user = f"user-{index % self.USERS}"
+            # The record is journaled before the compaction that follows
+            # it in the same charge, so it counts even when that crashes.
+            model[user] *= step
+            releases[user] += 1
+            try:
+                ledger.charge(user, step)
+            except InjectedCrash:
+                break
+        else:
+            pytest.fail("compaction never ran")
+        ledger.close()
+        # the untruncated journal had outgrown the first snapshot
+        assert os.path.getsize(ledger_dir / "wal.jsonl") >= first_snapshot
+
+        back = reopen(ledger_dir, snapshot_every=self.EVERY)
+        for user, cumulative in model.items():
+            budget = back.view(user)
+            assert budget.cumulative_alpha == cumulative
+            assert budget.releases == releases[user]
+        # the stale journal is compacted away by the recovered ledger
+        for _ in range(self.EVERY):
+            back.charge("user-0", step)
+        model["user-0"] *= step ** self.EVERY
+        assert back.stats()["compactions"] == 1
+        back.close()
+        again = reopen(ledger_dir)
+        assert again.view("user-0").cumulative_alpha == model["user-0"]
+        again.close()
+        assert verify_ledger_dir(ledger_dir)["ok"]
+
+
+def reference_encode(record: dict) -> bytes:
+    """The two-pass encoder format version 1 was defined with: the crc
+    of the canonical record, then the canonical record with it added."""
+    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    crc = format(zlib.crc32(body.encode("utf-8")), "08x")
+    framed = dict(record)
+    framed["crc"] = crc
+    return (
+        json.dumps(framed, sort_keys=True, separators=(",", ":")).encode(
+            "utf-8"
+        )
+        + b"\n"
+    )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestRecordEncoding:
+    RECORDS = {
+        "charge": {
+            "op": "charge", "seq": 7, "user": "al\u00efce", "alpha": "1/2",
+            "cum": "1/4", "label": "flu count", "idem": "k-1",
+        },
+        "result": {
+            "op": "result", "seq": 8, "idem": "k-1", "user": "bob",
+            "status": 200,
+            "response": {"value": 3, "cumulative_alpha": "1/4"},
+        },
+        "response-with-own-crc": {
+            "op": "result", "seq": 9, "idem": "k-2", "user": None,
+            "status": 429, "response": {"crc": "deadbeef", "error": "x"},
+        },
+        "probe": {"op": "probe", "seq": 10},
+        "meta": {"version": 1, "seq": 0, "floor": "1/64"},
+        "snapshot": {
+            "version": 1, "seq": 10, "floor": "1/64",
+            "users": {"a": {"cum": "1/2", "releases": 1},
+                      "b": {"cum": "3/8", "releases": 2}},
+            "replay": {"k-1": {"user": "a", "status": 200,
+                               "response": {"value": 1}}},
+        },
+        "keys-only-before-crc": {"alpha": "1/2", "cum": "1/2", "cr": 1},
+        "keys-only-after-crc": {"seq": 1, "op": "x", "crd": [1, "2"]},
+        "empty": {},
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_byte_identical_to_the_two_pass_encoder(self, name):
+        record = self.RECORDS[name]
+        line = _encode_record(record)
+        assert line == reference_encode(record)
+        if "seq" in record:
+            assert durable_ledger._decode_record(line.rstrip()) == record
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(
+        st.text(max_size=6).filter(lambda key: key != "crc"),
+        JSON_VALUES, max_size=6,
+    ))
+    def test_byte_identical_on_arbitrary_records(self, record):
+        assert _encode_record(record) == reference_encode(record)
+
+    def test_ledger_written_by_the_reference_encoder_reopens(
+        self, ledger_dir, monkeypatch
+    ):
+        monkeypatch.setattr(durable_ledger, "_encode_record", reference_encode)
+        old = DurableLedger(ledger_dir, Fraction(1, 64), snapshot_every=0)
+        old.charge("a", HALF, idem="k-1")
+        old.record_result("k-1", 200, {"value": 4, "crc": "00"})
+        old.compact()
+        old.charge("a", QUARTER)
+        old.charge("b", Fraction(2, 3))
+        old.probe()
+        old.close()
+        written = (ledger_dir / "wal.jsonl").read_bytes()
+        monkeypatch.undo()
+
+        assert verify_ledger_dir(ledger_dir)["ok"]
+        back = reopen(ledger_dir)
+        assert back.view("a").cumulative_alpha == Fraction(1, 8)
+        assert back.view("b").cumulative_alpha == Fraction(2, 3)
+        replayed = back.charge("a", HALF, idem="k-1")
+        assert replayed.outcome == "replayed"
+        assert replayed.replay == (200, {"value": 4, "crc": "00"})
+        back.charge("b", HALF)
+        back.close()
+        # the new encoder appends after the old records, byte for byte
+        assert (ledger_dir / "wal.jsonl").read_bytes().startswith(written)
+        assert verify_ledger_dir(ledger_dir)["ok"]
 
 
 class TestMultiInstanceSharing:

@@ -325,6 +325,7 @@ class TestHealthz:
         ledger = body["ledger"]
         assert ledger["backend"] == "durable"
         assert ledger["journal_bytes"] > 0
+        assert ledger["snapshot_bytes"] == 0  # nothing compacted yet
         assert ledger["seq"] >= 1
         assert ledger["fsyncs"] >= 1
         assert ledger["last_fsync_ms"] >= 0.0

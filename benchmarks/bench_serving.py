@@ -16,9 +16,13 @@ pipeline itself — batcher, ledger, fused gather, audit hook — not TCP):
 
 * ``served_qps`` — end-to-end requests/sec with micro-batching, at
   10k-1M simulated users, with p50/p99 request latency;
-* ``unbatched_qps`` — the same load with ``batch_window=0`` (every
+* ``unbatched_qps`` — the same load with ``batch_max=1`` (every
   query is its own gather), the baseline micro-batching is measured
   against;
+* ``sequential`` — one client publishing back to back, under the
+  default (idle-flush) batching and unbatched: a lone request must not
+  wait on a batch window, so the default p50 stays within
+  ``SEQUENTIAL_P50_RATIO_CEILING`` of the unbatched p50;
 * ``http_round_trips_per_second`` — a small keep-alive HTTP/1.1 smoke
   over a real socket.
 
@@ -35,8 +39,9 @@ Correctness is asserted in every mode (``--quick`` included):
 
 Standalone: ``PYTHONPATH=src:benchmarks python benchmarks/bench_serving.py``
 (``--quick`` for a CI smoke run; ``--check`` enforces the throughput
-floor — **>= 1e4 batched requests/sec** — in quick mode too, plus all
-of the assertions above). Emits a ``BENCH {json}`` line and writes
+floor — **>= 1e4 batched requests/sec** — and the sequential p50 ratio
+ceiling — **<= 1.5x unbatched** — in quick mode too, plus all of the
+assertions above). Emits a ``BENCH {json}`` line and writes
 ``benchmarks/out/BENCH_serving.json``.
 """
 
@@ -63,6 +68,12 @@ from repro.serving import HTTPServingClient, InProcessClient, MechanismServer
 #: Acceptance floor (enforced by ``--check`` even in quick mode): the
 #: micro-batched in-process serving path must sustain this request rate.
 SERVED_QPS_FLOOR = 1e4
+
+#: Acceptance ceiling (enforced by ``--check``): the p50 latency of
+#: sequential single-client publishes under the default batching, over
+#: the unbatched (``batch_max=1``) p50 measured in the same run. A fixed
+#: batch window would put its whole length on every such request.
+SEQUENTIAL_P50_RATIO_CEILING = 1.5
 
 #: The deployment mix every load run cycles through (mixed n and alpha,
 #: so each flush exercises the fused heterogeneous gather).
@@ -110,11 +121,14 @@ async def drive(server, *, requests, users, concurrency):
     return wall, latencies, statuses
 
 
-def bench_load(store, *, requests, users, concurrency, window):
-    """One load run; asserts the zero-solve and all-200 invariants."""
+def bench_load(store, *, requests, users, concurrency, **batching):
+    """One load run; asserts the zero-solve and all-200 invariants.
+
+    ``batching`` (``batch_max``) overrides the server's default batching.
+    """
     server = MechanismServer(
         store,
-        batch_window=window,
+        **batching,
         audit_rate=0.02,
         audit_every=64,
         seed=23,
@@ -136,7 +150,8 @@ def bench_load(store, *, requests, users, concurrency, window):
         "requests": requests,
         "simulated_users": users,
         "concurrency": concurrency,
-        "batch_window_seconds": window,
+        "batch_window_seconds": server.batcher.window,
+        "batch_max": server.batcher.max_size,
         "wall_seconds": wall,
         "qps": requests / wall,
         "latency_p50_ms": float(np.percentile(latencies, 50)) * 1e3,
@@ -145,6 +160,39 @@ def bench_load(store, *, requests, users, concurrency, window):
         "mean_batch": stats["queries"] / max(stats["batches"], 1),
         "max_batch": stats["max_batch"],
         "audited_responses": server.metrics["audit_recorded"],
+    }
+
+
+def bench_sequential(store, *, requests, rounds=8):
+    """One client publishing back to back: default batching vs unbatched.
+
+    After one unmeasured warm-up round each, the two servers alternate
+    over ``rounds`` of ``requests`` publishes, so drift on the machine
+    lands on both; each p50 is the median of its per-round p50s.
+    """
+    servers = {
+        "default": MechanismServer(store, seed=53),
+        "unbatched": MechanismServer(store, batch_max=1, seed=53),
+    }
+    p50s = {name: [] for name in servers}
+    for server in servers.values():
+        server.load_store()
+    for round_ in range(rounds + 1):
+        for name, server in servers.items():
+            _, latencies, statuses = asyncio.run(
+                drive(server, requests=requests, users=requests,
+                      concurrency=1)
+            )
+            assert statuses == {200: requests}, statuses
+            if round_:
+                p50s[name].append(float(np.percentile(latencies, 50)) * 1e3)
+    p50 = {name: float(np.median(runs)) for name, runs in p50s.items()}
+    return {
+        "requests_per_round": requests,
+        "rounds": rounds,
+        "default_p50_ms": p50["default"],
+        "unbatched_p50_ms": p50["unbatched"],
+        "p50_ratio": p50["default"] / p50["unbatched"],
     }
 
 
@@ -246,9 +294,7 @@ def check_audit_catches_tamper(store, *, requests):
 
 def bench_http_smoke(store, *, requests):
     """Keep-alive HTTP/1.1 round-trips over a real socket."""
-    server = MechanismServer(
-        store, batch_window=0.0005, audit_rate=0.0, seed=47
-    )
+    server = MechanismServer(store, audit_rate=0.0, seed=47)
     server.load_store()
 
     async def go():
@@ -286,16 +332,19 @@ def main(argv=None):
         "--check",
         action="store_true",
         help="exit nonzero when the batched serving floor "
-        "(>= 1e4 requests/sec) is missed — enforced in quick mode too",
+        "(>= 1e4 requests/sec) or the sequential p50 ceiling (<= 1.5x "
+        "unbatched) is missed — enforced in quick mode too",
     )
     args = parser.parse_args(argv)
 
     if args.quick:
         scales = [(10_000, 30_000)]
         concurrency, http_requests, audit_requests = 1024, 300, 4096
+        sequential_requests = 600
     else:
         scales = [(10_000, 60_000), (100_000, 120_000), (1_000_000, 240_000)]
         concurrency, http_requests, audit_requests = 2048, 2000, 16_384
+        sequential_requests = 2000
 
     with tempfile.TemporaryDirectory(prefix="bench-serving-") as tmp:
         store = build_store(tmp)
@@ -305,7 +354,6 @@ def main(argv=None):
                 requests=requests,
                 users=users,
                 concurrency=concurrency,
-                window=0.001,
             )
             for users, requests in scales
         ]
@@ -314,8 +362,9 @@ def main(argv=None):
             requests=scales[0][1],
             users=scales[0][0],
             concurrency=concurrency,
-            window=0.0,
+            batch_max=1,
         )
+        sequential = bench_sequential(store, requests=sequential_requests)
         ledger = check_ledger_floor(store)
         audit = check_audit_catches_tamper(store, requests=audit_requests)
         http = bench_http_smoke(store, requests=http_requests)
@@ -327,10 +376,14 @@ def main(argv=None):
         ],
         "batched": batched,
         "unbatched": unbatched,
+        "sequential": sequential,
         "ledger_concurrency": ledger,
         "audit_tamper": audit,
         "http_smoke": http,
-        "targets": {"served_qps": SERVED_QPS_FLOOR},
+        "targets": {
+            "served_qps": SERVED_QPS_FLOOR,
+            "sequential_p50_ratio": SEQUENTIAL_P50_RATIO_CEILING,
+        },
     }
 
     lines = ["micro-batched mechanism serving (in-process pipeline):"]
@@ -342,7 +395,7 @@ def main(argv=None):
             .format(**row)
         )
     lines.append(
-        "  unbatched baseline (window=0):       {qps:10.0f} req/s  "
+        "  unbatched baseline (batch_max=1):    {qps:10.0f} req/s  "
         "p50={latency_p50_ms:6.2f}ms p99={latency_p99_ms:6.2f}ms".format(
             **unbatched
         )
@@ -350,6 +403,12 @@ def main(argv=None):
     lines.append(
         "  batched vs unbatched: {ratio:.1f}x".format(
             ratio=batched[0]["qps"] / unbatched["qps"]
+        )
+    )
+    lines.append(
+        "  sequential single client: p50 {default_p50_ms:.3f}ms default vs "
+        "{unbatched_p50_ms:.3f}ms unbatched ({p50_ratio:.2f}x)".format(
+            **sequential
         )
     )
     lines.append(
@@ -375,6 +434,14 @@ def main(argv=None):
             for row in batched
             if row["qps"] < SERVED_QPS_FLOOR
         ]
+        if sequential["p50_ratio"] > SEQUENTIAL_P50_RATIO_CEILING:
+            failures.append(
+                "sequential p50 "
+                f"{sequential['default_p50_ms']:.3f}ms is "
+                f"{sequential['p50_ratio']:.2f}x the unbatched "
+                f"{sequential['unbatched_p50_ms']:.3f}ms > "
+                f"{SEQUENTIAL_P50_RATIO_CEILING}x"
+            )
         if failures:
             print("serving targets missed: " + "; ".join(failures))
             return 1

@@ -88,6 +88,7 @@ from .exceptions import ReproError
 from .losses import AbsoluteLoss, SquaredLoss, ZeroOneLoss
 from .release.audit import empirical_alpha
 from .release.durable_ledger import FSYNC_MODES
+from .serving.batching import DEFAULT_BATCH_WINDOW
 from .serving.fallback import DEGRADED_MODES
 
 __all__ = ["main", "build_parser"]
@@ -296,8 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
         "refuses to cross; 0 disables enforcement)",
     )
     serve.add_argument(
-        "--batch-window", type=float, default=0.002,
-        help="micro-batch deadline in seconds (0 disables batching)",
+        "--batch-window", type=float, default=DEFAULT_BATCH_WINDOW,
+        help="micro-batch window: 0 (default) flushes each batch once the "
+        "event loop has no more ready work; a positive value is a fixed "
+        "deadline in seconds (--batch-max 1 disables batching)",
     )
     serve.add_argument(
         "--batch-max", type=int, default=4096,
@@ -848,6 +851,8 @@ def _cmd_serve(args) -> str:
         )
     print("\n".join(lines), flush=True)
 
+    window = f"{args.batch_window}s" if args.batch_window > 0 else "idle"
+
     async def _run() -> None:
         await server.start(host=args.host, port=args.port)
         budgets = (
@@ -857,7 +862,7 @@ def _cmd_serve(args) -> str:
         )
         print(
             f"serving on http://{args.host}:{server.port} "
-            f"(floor={args.floor}, window={args.batch_window}s, "
+            f"(floor={args.floor}, window={window}, "
             f"batch_max={args.batch_max}, audit_rate={args.audit_rate}, "
             f"budgets {budgets})",
             flush=True,

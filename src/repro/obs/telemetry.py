@@ -78,7 +78,8 @@ class Telemetry:
         )
         self.batch_flushes = reg.counter(
             "repro_batch_flushes_total",
-            "Micro-batch flushes, by reason.",
+            "Micro-batch flushes, by reason "
+            "(max_size, idle, deadline, manual or close).",
             labels=("reason",),
         )
         self.batch_size = reg.histogram(

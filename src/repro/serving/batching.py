@@ -7,15 +7,21 @@ for thousands of queries — across deployments of different ``n`` and
 however, arrive one at a time on an asyncio loop. The
 :class:`MicroBatcher` bridges the two: concurrent requests park on
 futures while their ``(table, row)`` pairs accumulate, and the batch is
-executed as one gather when either
+executed as one gather when
 
 * the **size bound** is hit (``max_size`` pending queries), or
-* the **deadline** fires (``window`` seconds after the first query of
-  the batch arrived — a latency bound, not a throughput tax: an idle
-  batcher schedules nothing).
+* the **event loop goes idle** (``window == 0``, the default): the first
+  query of a batch schedules the flush with ``loop.call_soon``, so it
+  runs right after every callback that was already ready in the same
+  loop turn. Concurrent work still fuses — the callers one flush wakes
+  all resubmit before the next flush, and requests that became ready
+  while a group-commit fsync blocked the loop share the next batch —
+  but a lone request never waits on a timer; or
+* the **deadline** fires (``window > 0``: ``window`` seconds after the
+  first query of the batch arrived), which parks queries on purpose.
 
-``window <= 0`` or ``max_size == 1`` degenerates to unbatched execution
-(every query is its own gather), which is exactly the baseline
+``max_size == 1`` is unbatched execution (every query is its own gather,
+flushed through the size path), which is exactly the baseline
 ``benchmarks/bench_serving.py`` measures micro-batching against.
 
 The executor callback is synchronous and must never block the loop for
@@ -43,12 +49,17 @@ import numpy as np
 from ..exceptions import ValidationError
 from ..release.durable_ledger import NO_FAULTS
 
-__all__ = ["MicroBatcher"]
+__all__ = ["DEFAULT_BATCH_WINDOW", "MicroBatcher"]
 
-#: Flush reasons tracked in ``stats["flush_reasons"]``. ``manual``
-#: covers direct ``flush()`` calls (drain paths); ``immediate`` is the
-#: unbatched ``window <= 0`` mode.
-FLUSH_REASONS = ("max_size", "deadline", "immediate", "manual", "close")
+#: Flush reasons tracked in ``stats["flush_reasons"]``. ``idle`` is the
+#: ``window == 0`` flush once the loop has no more ready work;
+#: ``deadline`` the ``window > 0`` timer; ``manual`` covers direct
+#: ``flush()`` calls (drain paths).
+FLUSH_REASONS = ("max_size", "idle", "deadline", "manual", "close")
+
+#: The batch window every serving entry point defaults to (the server,
+#: ``repro serve --batch-window`` and fleet workers): flush on idle.
+DEFAULT_BATCH_WINDOW = 0.0
 
 
 class MicroBatcher:
@@ -61,28 +72,31 @@ class MicroBatcher:
         equal-length int64 arrays, returning one output per query.
         Raising makes every query of the batch fail with that exception.
     window:
-        Deadline in seconds from the first query of a batch to its
-        flush. ``0`` disables the timer (every query flushes itself —
-        the unbatched mode).
+        ``0`` (default) flushes once the event loop has run every
+        callback that was ready when the batch's first query arrived;
+        a positive value is a fixed deadline in seconds from that first
+        query to the flush.
     max_size:
-        Flush immediately once this many queries are pending.
+        Flush immediately once this many queries are pending (``1``
+        is unbatched service).
     telemetry:
         Optional :class:`repro.obs.Telemetry`; adds flush metrics and
         batch-scoped trace spans. ``None`` keeps the batcher free of
         any observability work.
 
     Stats (``stats`` dict): ``queries``, ``batches``, ``size_flushes``,
-    ``deadline_flushes``, ``max_batch``, plus ``flush_reasons`` (counts
-    per :data:`FLUSH_REASONS`) and ``occupancy`` (power-of-two batch
-    size buckets: key ``"1"`` counts 1-row batches, ``"2"`` 2-row,
-    ``"4"`` 3-4, doubling up to ``"16384+"``).
+    ``deadline_flushes`` (timer flushes only), ``max_batch``, plus
+    ``flush_reasons`` (counts per :data:`FLUSH_REASONS`) and
+    ``occupancy`` (power-of-two batch size buckets: key ``"1"`` counts
+    1-row batches, ``"2"`` 2-row, ``"4"`` 3-4, doubling up to
+    ``"16384+"``).
     """
 
     def __init__(
         self,
         execute: Callable[[np.ndarray, np.ndarray], np.ndarray],
         *,
-        window: float = 0.002,
+        window: float = DEFAULT_BATCH_WINDOW,
         max_size: int = 4096,
         faults=None,
         telemetry=None,
@@ -98,7 +112,9 @@ class MicroBatcher:
         self.telemetry = telemetry
         self._pending: list[tuple[int, int, asyncio.Future]] = []
         self._traced: list = []
-        self._timer: asyncio.TimerHandle | None = None
+        # The scheduled flush of the open batch: a ``call_soon`` handle
+        # (idle flush) or a ``call_later`` one (deadline).
+        self._timer: asyncio.Handle | None = None
         self.stats = {
             "queries": 0,
             "batches": 0,
@@ -142,10 +158,13 @@ class MicroBatcher:
         if len(self._pending) >= self.max_size:
             self.stats["size_flushes"] += 1
             self.flush(reason="max_size")
-        elif self.window <= 0:
-            self.flush(reason="immediate")
         elif self._timer is None:
-            self._timer = loop.call_later(self.window, self._deadline_flush)
+            if self.window > 0:
+                self._timer = loop.call_later(
+                    self.window, self._deadline_flush
+                )
+            else:
+                self._timer = loop.call_soon(self.flush, "idle")
         return await future
 
     def _deadline_flush(self) -> None:
@@ -166,7 +185,7 @@ class MicroBatcher:
         """Execute everything pending as one fused tick (no-op if empty).
 
         Safe to call at any time — shutdown paths use it to drain the
-        queue without waiting out the deadline.
+        queue without waiting for the scheduled flush.
         """
         if self._timer is not None:
             self._timer.cancel()
@@ -234,7 +253,7 @@ class MicroBatcher:
                 future.set_result(int(value))
 
     def close(self) -> None:
-        """Cancel the deadline timer and fail anything still pending."""
+        """Cancel the scheduled flush and fail anything still pending."""
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None

@@ -109,7 +109,7 @@ from ..release.ledger import ConcurrentPrivacyLedger
 from ..sampling.alias import HeterogeneousAliasSampler
 from ..sampling.rng import ensure_generator
 from .audit import OnlineAuditor
-from .batching import MicroBatcher
+from .batching import DEFAULT_BATCH_WINDOW, MicroBatcher
 from .fallback import DEGRADED_MODES, resolve_fallbacks
 from .overload import AdmissionController, WALCircuitBreaker, memory_overlay
 
@@ -220,11 +220,12 @@ class MechanismServer:
         A :class:`~repro.serving.faults.FaultInjector` threaded through
         the batcher and durable ledger (chaos testing only).
     batch_window:
-        Micro-batch deadline in seconds (see
-        :class:`~repro.serving.batching.MicroBatcher`); ``0`` disables
-        batching.
+        Micro-batch window (see
+        :class:`~repro.serving.batching.MicroBatcher`): ``0`` (default)
+        flushes each batch as soon as the event loop runs out of ready
+        work, a positive value is a fixed deadline in seconds.
     batch_max:
-        Micro-batch size bound.
+        Micro-batch size bound; ``1`` serves every query unbatched.
     audit_rate:
         Fraction of responses fed to the online auditor; ``0`` disables
         the hook.
@@ -287,7 +288,7 @@ class MechanismServer:
         ledger_fsync: str = "group",
         drain_deadline: float = 5.0,
         faults=None,
-        batch_window: float = 0.002,
+        batch_window: float = DEFAULT_BATCH_WINDOW,
         batch_max: int = 4096,
         audit_rate: float = 0.05,
         audit_every: int = 64,

@@ -619,6 +619,7 @@ def _build_worker_server(config: dict):
     numpy (the worker obviously needs the full stack).
     """
     from ..release.durable_ledger import DurableLedger
+    from .batching import DEFAULT_BATCH_WINDOW
     from .faults import FaultInjector, FaultyFS, fsync_storm
     from .server import MechanismServer
 
@@ -653,7 +654,7 @@ def _build_worker_server(config: dict):
         store=config["store"],
         floor=floor,
         drain_deadline=config.get("drain_deadline", 5.0),
-        batch_window=config.get("batch_window", 0.002),
+        batch_window=config.get("batch_window", DEFAULT_BATCH_WINDOW),
         batch_max=config.get("batch_max", 4096),
         audit_rate=config.get("audit_rate", 0.05),
         audit_every=config.get("audit_every", 64),

@@ -1,9 +1,12 @@
 """Tests for the serving micro-batcher."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.serving.batching import MicroBatcher
@@ -74,16 +77,19 @@ class TestFlushTriggers:
         assert batcher.stats["size_flushes"] == 1
         assert batcher.stats["max_batch"] == 4
 
-    def test_window_zero_is_unbatched(self):
+    def test_max_size_one_is_unbatched(self):
         recorder = Recorder()
-        batcher = MicroBatcher(recorder, window=0.0, max_size=100)
+        batcher = MicroBatcher(recorder, max_size=1)
 
         async def go():
-            return [await batcher.submit(0, r) for r in range(3)]
+            return await asyncio.gather(
+                *[batcher.submit(0, r) for r in range(3)]
+            )
 
         assert run(go()) == [0, 1, 2]
-        # Every query was its own tick.
+        # Every query was its own tick, flushed through the size path.
         assert batcher.stats["batches"] == 3
+        assert batcher.stats["size_flushes"] == 3
         assert all(len(t) == 1 for t, _ in recorder.ticks)
 
     def test_mixed_deployments_fuse_into_one_tick(self):
@@ -103,6 +109,133 @@ class TestFlushTriggers:
         assert tables.tolist() == [0, 2, 1]
         assert rows.tolist() == [1, 5, 0]
         assert tables.dtype == np.int64
+
+
+def forbid_timers(loop):
+    """Make any ``call_later`` on ``loop`` fail the test."""
+
+    def call_later(*args, **kwargs):
+        raise AssertionError("the idle flush must not arm a timer")
+
+    loop.call_later = call_later
+
+
+class TestIdleFlush:
+    def test_one_loop_turn_is_one_idle_flush(self):
+        recorder = Recorder()
+        batcher = MicroBatcher(recorder)
+
+        async def go():
+            forbid_timers(asyncio.get_running_loop())
+            return await asyncio.gather(
+                *[batcher.submit(r % 3, r) for r in range(50)]
+            )
+
+        assert run(go()) == [10 * (r % 3) + r for r in range(50)]
+        assert len(recorder.ticks) == 1
+        assert batcher.stats["batches"] == 1
+        reasons = batcher.stats["flush_reasons"]
+        assert reasons["idle"] == 1
+        assert sum(reasons.values()) == 1
+        assert batcher.stats["deadline_flushes"] == 0
+
+    def test_lone_submit_resolves_without_a_wall_clock_wait(self):
+        batcher = MicroBatcher(Recorder())
+
+        async def go():
+            forbid_timers(asyncio.get_running_loop())
+            task = asyncio.ensure_future(batcher.submit(1, 4))
+            await asyncio.sleep(0)  # the submit parks, scheduling its flush
+            assert batcher.pending == 1
+            for _ in range(2):
+                await asyncio.sleep(0)
+            assert task.done()
+            return task.result()
+
+        assert run(go()) == 14
+        assert batcher.stats["flush_reasons"]["idle"] == 1
+
+    def test_submits_ready_during_a_blocking_execute_share_a_batch(self):
+        # The first tick blocks the loop like a group-commit fsync; a
+        # thread makes five submits ready meanwhile. They all run in the
+        # loop turn after the flush, so they fuse into one batch.
+        latecomers = []
+        recorder = Recorder()
+
+        def arrive(loop):
+            for r in range(5):
+                loop.call_soon_threadsafe(
+                    lambda r=r: latecomers.append(
+                        asyncio.ensure_future(batcher.submit(2, r))
+                    )
+                )
+
+        def execute(tables, rows):
+            if not recorder.ticks:
+                worker = threading.Thread(
+                    target=arrive, args=(asyncio.get_running_loop(),)
+                )
+                worker.start()
+                worker.join()  # the "fsync": the loop is blocked
+            return recorder(tables, rows)
+
+        batcher = MicroBatcher(execute)
+
+        async def go():
+            first = await batcher.submit(0, 7)
+            while len(latecomers) < 5:
+                await asyncio.sleep(0)
+            return first, await asyncio.gather(*latecomers)
+
+        assert run(go()) == (7, [20, 21, 22, 23, 24])
+        assert [len(t) for t, _ in recorder.ticks] == [1, 5]
+        assert batcher.stats["flush_reasons"]["idle"] == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        groups=st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 5), st.integers(0, 9)
+                    ),
+                    min_size=1,
+                    max_size=12,
+                ),
+                st.integers(0, 2),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        max_size=st.integers(1, 8),
+    )
+    def test_batches_partition_queries_in_order(self, groups, max_size):
+        recorder = Recorder()
+        batcher = MicroBatcher(recorder, max_size=max_size)
+        queries = [query for group, _ in groups for query in group]
+
+        async def go():
+            tasks = []
+            for group, turns in groups:
+                tasks.extend(
+                    asyncio.ensure_future(batcher.submit(table, row))
+                    for table, row in group
+                )
+                for _ in range(turns):
+                    await asyncio.sleep(0)
+            return await asyncio.gather(*tasks)
+
+        values = run(go())
+        assert values == [10 * table + row for table, row in queries]
+        fused = [
+            (int(t), int(r))
+            for tables, rows in recorder.ticks
+            for t, r in zip(tables, rows)
+        ]
+        assert fused == queries
+        assert all(0 < len(t) <= max_size for t, _ in recorder.ticks)
+        assert batcher.stats["batches"] == len(recorder.ticks)
+        assert batcher.stats["deadline_flushes"] == 0
 
 
 class TestFailureModes:

@@ -381,9 +381,10 @@ class TestBatcherStats:
         assert reasons["close"] == 0
         assert batcher.stats["batches"] == 2
 
-    def test_immediate_mode_counts_immediate(self):
-        batcher = self.run_batch(window=0.0)
-        assert batcher.stats["flush_reasons"]["immediate"] == 5
+    def test_unbatched_mode_counts_max_size(self):
+        batcher = self.run_batch(max_size=1)
+        assert batcher.stats["flush_reasons"]["max_size"] == 5
+        assert batcher.stats["batches"] == 5
 
     def test_occupancy_histogram_buckets(self):
         batcher = self.run_batch(window=0.001, max_size=4)

@@ -8,6 +8,7 @@ grouped for `pytest -m chaos`).
 """
 
 import asyncio
+import inspect
 import signal
 import time
 from fractions import Fraction
@@ -89,6 +90,22 @@ class TestValidation:
         fleet._slots[0].proc = None
         with pytest.raises(ReproError, match="no live worker"):
             fleet.kill_worker(0)
+
+
+class TestWorkerConfig:
+    def test_missing_batch_window_gets_the_server_default(self, tmp_path):
+        from repro.serving.server import MechanismServer
+        from repro.serving.supervisor import _build_worker_server
+
+        store = ArtifactStore(tmp_path / "artifacts")
+        store.get_or_compile(ArtifactSpec("geometric", 8, HALF))
+        server = _build_worker_server(
+            {"store": str(tmp_path / "artifacts"), "telemetry": False}
+        )
+        default = inspect.signature(MechanismServer).parameters[
+            "batch_window"
+        ].default
+        assert server.batcher.window == default == 0
 
 
 class TestFleetLifecycle:

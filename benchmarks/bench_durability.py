@@ -118,7 +118,6 @@ def bench_mode(store, mode, *, requests, users, concurrency, tmp):
         kwargs = {"ledger_dir": ledger_dir, "ledger_fsync": mode}
     server = MechanismServer(
         store,
-        batch_window=0.001,
         audit_rate=0.0,
         seed=23,
         **kwargs,
@@ -149,7 +148,6 @@ def check_recovery(store, *, requests, users, concurrency, tmp):
     ledger_dir = Path(tmp) / "ledger-recovery"
     server = MechanismServer(
         store,
-        batch_window=0.001,
         audit_rate=0.0,
         seed=29,
         ledger_dir=ledger_dir,
@@ -227,7 +225,7 @@ def bench_compaction(store, *, users, requests, concurrency, tmp):
     start = ledger.stats()
     tally.reset()
     server = MechanismServer(
-        store, batch_window=0.001, audit_rate=0.0, seed=31, ledger=ledger
+        store, audit_rate=0.0, seed=31, ledger=ledger
     )
     server.load_store()
     wall, _lat, statuses = asyncio.run(

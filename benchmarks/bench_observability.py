@@ -161,7 +161,7 @@ def one_run(store, *, mode, trace_dir, requests, users, concurrency):
     with tempfile.TemporaryDirectory(prefix="bench-obs-wal-") as ledger:
         kwargs = dict(
             ledger_dir=ledger, ledger_fsync="group",
-            batch_window=0.001, audit_rate=0.0, seed=23,
+            audit_rate=0.0, seed=23,
         )
         if mode == "off":
             kwargs.update(telemetry=False)
@@ -274,7 +274,7 @@ def bench_overhead(store, *, requests, users, concurrency, rounds):
 def bench_p99_agreement(store, *, requests, concurrency):
     """Histogram p99 vs exact sorted p99 of the same latency samples."""
     server = MechanismServer(
-        store, batch_window=0.001, audit_rate=0.0, seed=29
+        store, audit_rate=0.0, seed=29
     )
     server.load_store()
     client = InProcessClient(server)
@@ -338,7 +338,6 @@ def check_trace_completeness(store, *, requests):
             store,
             ledger_dir=ledger,
             ledger_fsync="group",
-            batch_window=0.001,
             audit_rate=0.0,
             seed=31,
             trace_rate=1.0,
@@ -398,7 +397,7 @@ def check_trace_completeness(store, *, requests):
 def check_scrape(store):
     """The Prometheus exposition parses and carries the key families."""
     server = MechanismServer(
-        store, batch_window=0.001, audit_rate=0.0, seed=37
+        store, audit_rate=0.0, seed=37
     )
     server.load_store()
     client = InProcessClient(server)

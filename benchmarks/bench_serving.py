@@ -201,7 +201,7 @@ def check_ledger_floor(store):
     K = 8
     alpha = Fraction(1, 2)
     server = MechanismServer(
-        store, floor=alpha**K, batch_window=0.001, audit_rate=0.0, seed=31
+        store, floor=alpha**K, audit_rate=0.0, seed=31
     )
     server.load_store()
     client = InProcessClient(server)
@@ -236,7 +236,6 @@ def check_audit_catches_tamper(store, *, requests):
     """The online audit flags a kernel tampered after verification."""
     server = MechanismServer(
         store,
-        batch_window=0.001,
         audit_rate=1.0,
         audit_every=8,
         seed=37,

@@ -121,7 +121,7 @@ async def serve_study(n, alphas) -> None:
             store.get_or_compile(spec)
 
         server = MechanismServer(
-            store, batch_window=0.001, audit_rate=0.1, seed=7
+            store, audit_rate=0.1, seed=7
         )
         loaded = server.load_store()
         print(f"pre-warmed and loaded {loaded} verified deployments")

@@ -166,7 +166,6 @@ async def serve_live(store, n, alpha, true_count, ledger_dir) -> None:
     server = MechanismServer(
         store,
         floor=alpha**3,  # each user may consume three alpha=1/2 releases
-        batch_window=0.001,
         audit_rate=1.0,
         seed=20101001,
         ledger_dir=ledger_dir,  # budgets live in a crash-safe WAL (PR 8)
@@ -265,7 +264,6 @@ async def serve_live(store, n, alpha, true_count, ledger_dir) -> None:
     reborn = MechanismServer(
         store,
         floor=alpha**3,
-        batch_window=0.001,
         audit_rate=0.0,
         seed=20101002,
         ledger_dir=ledger_dir,

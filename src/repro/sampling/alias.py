@@ -321,16 +321,6 @@ class HeterogeneousAliasSampler:
             )
         if table_indices.size == 0:
             return np.empty(0, dtype=np.int64)
-        if table_indices.size == 1:
-            # An idle-flushed serving batch usually holds one query:
-            # walk the same table in Python scalars. One
-            # ``rng.random()`` is the double ``rng.random(1)`` would
-            # draw, so both paths are draw-for-draw identical.
-            table = int(table_indices[0])
-            if not 0 <= table < len(self.samplers):
-                raise ValidationError("table index out of range")
-            value = self.samplers[table].sample_one(rows[0], rng)
-            return np.array([value], dtype=np.int64)
         if table_indices.min() < 0 or table_indices.max() >= len(
             self.samplers
         ):

@@ -6,7 +6,7 @@ requests park on futures while a :class:`repro.serving.batching.MicroBatcher`
 coalesces them, and each flush executes mixed ``n``/``alpha``
 deployments as **one** fused
 :class:`repro.sampling.alias.HeterogeneousAliasSampler` gather — with
-per-user :class:`repro.release.ledger.ConcurrentPrivacyLedger`
+per-user :class:`repro.release.durable_ledger.MemoryLedgerBook`
 accounting charged atomically before every draw and an online audit
 hook replaying a sampled slice of responses against the independently
 re-derived geometric law.

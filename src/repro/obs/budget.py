@@ -56,7 +56,7 @@ class BurnRow:
     remaining_charges: int | None
     #: The alpha a future charge is assumed to use: the user's last
     #: charged alpha, or the geometric mean of their releases when only
-    #: a restored cumulative guarantee is known.
+    #: a snapshot-loaded cumulative guarantee is known.
     last_alpha: object | None
 
     @property
@@ -129,27 +129,25 @@ def remaining_charges(cumulative, floor, alpha) -> int | None:
     return estimate
 
 
-def _last_alpha(entries, releases, cumulative):
-    """The alpha to project future charges at.
-
-    Prefers the most recent genuinely-charged entry (restore entries
-    carry labels ``snapshot``/``recovered`` and fold many releases into
-    one ratio). Falls back to the geometric mean
-    ``cumulative ** (1/releases)`` when only a recovered total exists.
-    """
-    for entry in reversed(entries):
-        if entry.label not in ("snapshot", "recovered") and 0 < entry.alpha < 1:
-            return entry.alpha
-    if releases > 0 and 0 < cumulative < 1:
-        return float(cumulative) ** (1.0 / releases)
+def _last_alpha(budget):
+    """The alpha to project future charges at: the user's last charge,
+    or the geometric mean ``cumulative ** (1/releases)`` when only a
+    snapshot-loaded total is known."""
+    if budget.last_alpha is not None:
+        return budget.last_alpha
+    cumulative = budget.cumulative_alpha
+    if budget.releases > 0 and 0 < cumulative < 1:
+        return float(cumulative) ** (1.0 / budget.releases)
     return None
 
 
-def burn_row(user, entries, releases, cumulative, floor) -> BurnRow:
-    alpha = _last_alpha(entries, releases, cumulative)
+def burn_row(budget) -> BurnRow:
+    """The burn-down of one ledger book's ``UserBudget`` view."""
+    alpha = _last_alpha(budget)
+    cumulative, floor = budget.cumulative_alpha, budget.floor
     return BurnRow(
-        user=user,
-        releases=releases,
+        user=budget.user,
+        releases=budget.releases,
         cumulative_alpha=cumulative,
         floor=floor,
         spent_fraction=spent_fraction(cumulative, floor),
@@ -159,28 +157,13 @@ def burn_row(user, entries, releases, cumulative, floor) -> BurnRow:
 
 
 def burn_rows_from_book(book) -> list:
-    """Burn rows for every user of a (memory or durable) ledger book.
+    """Burn rows for every user of a (memory or durable) ledger book,
+    read in one locked walk.
 
     Sorted most-burned first, ties broken by user name, so the head of
     the list is always the next user to hit the floor.
     """
-    rows = []
-    for user in list(book._books):
-        ledger = book._books.get(user)
-        if ledger is None:  # pragma: no cover - concurrent eviction
-            continue
-        view = book.view(user)
-        if view is None:  # pragma: no cover - concurrent eviction
-            continue
-        rows.append(
-            burn_row(
-                user,
-                ledger.entries,
-                view.releases,
-                view.cumulative_alpha,
-                view.floor,
-            )
-        )
+    rows = [burn_row(budget) for budget in book.budgets()]
     rows.sort(key=lambda r: (-r.spent_fraction, r.user))
     return rows
 

@@ -1,9 +1,11 @@
 """Crash-safe, durable privacy-budget accounting.
 
-The serving layer's :class:`~repro.release.ledger.ConcurrentPrivacyLedger`
-enforces the paper's composition argument (Section 2.6: independent
-releases multiply their alpha guarantees, epsilons add) — but an
-in-memory ledger resets when the process dies, silently refilling every
+A ledger book enforces the paper's composition argument per user
+(Section 2.6: independent releases multiply their alpha guarantees,
+epsilons add). It keeps one flat record per user — the exact cumulative
+``Fraction``, the release count and the last charged alpha — under one
+lock; per-release history lives in the journal, not in memory. But an
+in-memory book resets when the process dies, silently refilling every
 user's budget. That is a *privacy violation*, not an availability bug:
 the composition invariant must survive crashes, torn writes, and full
 disks. This module is the durability layer:
@@ -50,7 +52,8 @@ disks. This module is the durability layer:
   ``"pending"`` — charged once, safe to re-sample).
 
 :class:`MemoryLedgerBook` offers the same interface without a
-directory, so the server code is identical in both modes.
+directory, so the server code is identical in both modes; the durable
+book is the same book with its writes journaled first.
 
 Filesystem access goes through a :class:`LedgerFS` seam and crash
 points through a fault-injector hook, so the chaos suite
@@ -84,7 +87,6 @@ from ..core.privacy import alpha_to_epsilon
 from ..exceptions import ReproError
 from ..obs.tracing import current_trace
 from ..validation import check_alpha
-from .ledger import ConcurrentPrivacyLedger
 
 __all__ = [
     "ChargeDecision",
@@ -183,6 +185,21 @@ class _NoFaults:
 NO_FAULTS = _NoFaults()
 
 
+_ONE = Fraction(1)
+
+
+def _remaining(floor, cumulative):
+    """The weakest further release the floor still allows.
+
+    A release at level ``a`` keeps the joint guarantee legal iff
+    ``cumulative * a >= floor``. Returns 0 when enforcement is disabled
+    (``floor == 0``) and 1 when nothing is left.
+    """
+    if floor == 0:
+        return 0
+    return min(floor / cumulative, _ONE)
+
+
 @dataclass(frozen=True)
 class UserBudget:
     """A read-only statement of one user's accounting."""
@@ -191,11 +208,37 @@ class UserBudget:
     releases: int
     floor: object
     cumulative_alpha: object
-    remaining_alpha: object
+    #: The alpha of the user's last charge; ``None`` when their state
+    #: was loaded from a snapshot and they have not charged since.
+    last_alpha: object = None
+
+    @property
+    def remaining_alpha(self):
+        return _remaining(self.floor, self.cumulative_alpha)
 
     @property
     def cumulative_epsilon(self) -> float:
         return alpha_to_epsilon(max(self.cumulative_alpha, 0))
+
+    def __len__(self) -> int:
+        return self.releases
+
+
+class _Budget:
+    """One user's record in a ledger book, mutated only under its lock.
+
+    Enforcing the floor needs just the exact joint guarantee; the
+    release count and the last alpha feed the views and the burn-down.
+    A snapshot stores the first two, so ``last_alpha`` is ``None`` for a
+    user loaded from one until they charge again.
+    """
+
+    __slots__ = ("cumulative", "releases", "last_alpha")
+
+    def __init__(self, cumulative=_ONE, releases=0, last_alpha=None):
+        self.cumulative = cumulative
+        self.releases = releases
+        self.last_alpha = last_alpha
 
 
 @dataclass(frozen=True)
@@ -398,11 +441,23 @@ def _fraction(text) -> Fraction:
         ) from None
 
 
+def _joint(text) -> Fraction:
+    """A recovered joint guarantee; a checksummed record may still carry
+    one no charge could produce, and loading it would break the floor
+    arithmetic."""
+    value = _fraction(text)
+    if not 0 < value <= 1:
+        raise LedgerCorruptionError(
+            f"joint guarantee {text!r} lies outside (0, 1]"
+        )
+    return value
+
+
 class MemoryLedgerBook:
-    """The process-local ledger book: per-user
-    :class:`ConcurrentPrivacyLedger` accounting plus an in-memory
-    idempotency replay cache. Budgets die with the process — the
-    serving default only when no ``--ledger-dir`` is given."""
+    """The process-local ledger book: one flat record per user plus an
+    in-memory idempotency replay cache, all under one lock. Budgets die
+    with the process — the serving default only when no
+    ``--ledger-dir`` is given."""
 
     durable = False
 
@@ -410,83 +465,139 @@ class MemoryLedgerBook:
         self, floor=0, *, replay_cap: int = 65536, telemetry=None
     ) -> None:
         check_alpha(floor, allow_endpoints=True)
-        self.floor = floor
+        self.floor = Fraction(floor)
         self.telemetry = telemetry
-        self._books: dict[str, ConcurrentPrivacyLedger] = {}
+        self._budgets: dict[str, _Budget] = {}
         self._replay = _ReplayCache(replay_cap)
         self._lock = threading.Lock()
 
-    # -- the shared LedgerBook interface --------------------------------
-    def book(self, user: str) -> ConcurrentPrivacyLedger:
-        """The (created-on-first-use) ledger accounting for ``user``."""
-        ledger = self._books.get(user)
-        if ledger is None:
-            ledger = self._books[user] = ConcurrentPrivacyLedger(self.floor)
-        return ledger
+    # -- hooks the durable book overrides -------------------------------
+    def _exclusive(self):
+        """Hold the book for one read or read-modify-write."""
+        return self._lock
 
+    def _journal_charge(self, user, alpha, proposed, label, idem) -> None:
+        """Persist an admitted charge before the records change."""
+
+    def _journal_result(self, idem: str, entry: dict) -> None:
+        """Persist a released response before the replay cache changes."""
+
+    def _maybe_compact(self) -> None:
+        """Housekeeping after a write (a memory book has none)."""
+
+    # -- the shared LedgerBook interface --------------------------------
     def charge(
         self, user: str, alpha, *, label: str = "release", idem=None
     ) -> ChargeDecision:
         check_alpha(alpha)
-        with self._lock:
+        # Exact from here on: a float alpha would turn the cumulative
+        # guarantee into a float.
+        alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+        with self._exclusive():
             if idem is not None:
                 decision = self._replay_decision(user, idem)
                 if decision is not None:
                     return decision
-            book = self.book(user)
-            proposed = book.cumulative_alpha * alpha
-            if not book.admits(proposed):
+            budget = self._budgets.get(user)
+            current = _ONE if budget is None else budget.cumulative
+            proposed = current * alpha
+            if proposed < self.floor:
                 return ChargeDecision(
-                    "rejected", user, book.cumulative_alpha,
-                    book.remaining_alpha,
+                    "rejected", user, current, _remaining(self.floor, current)
                 )
-            book.record(alpha, proposed, label=label)
+            self._journal_charge(user, alpha, proposed, label, idem)
+            if budget is None:
+                budget = self._budgets[user] = _Budget()
+            budget.cumulative = proposed
+            budget.releases += 1
+            budget.last_alpha = alpha
             if idem is not None:
                 self._replay.put(
                     idem, {"user": user, "status": None, "response": None}
                 )
-            return ChargeDecision(
-                "charged", user, proposed, book.remaining_alpha
+            decision = ChargeDecision(
+                "charged", user, proposed, _remaining(self.floor, proposed)
             )
+            self._maybe_compact()
+            return decision
 
     def _replay_decision(self, user, idem) -> ChargeDecision | None:
         hit = self._replay.get(idem)
         if hit is None:
             return None
-        book = self.book(hit.get("user") or user)
+        budget = self._budgets.get(hit.get("user") or user)
+        cumulative = _ONE if budget is None else budget.cumulative
+        remaining = _remaining(self.floor, cumulative)
         if hit.get("status") is not None:
             return ChargeDecision(
-                "replayed", user, book.cumulative_alpha,
-                book.remaining_alpha, replay=(hit["status"], hit["response"]),
+                "replayed", user, cumulative, remaining,
+                replay=(hit["status"], hit["response"]),
             )
-        return ChargeDecision(
-            "pending", user, book.cumulative_alpha, book.remaining_alpha
-        )
+        return ChargeDecision("pending", user, cumulative, remaining)
 
     def record_result(self, idem: str, status: int, response: dict) -> None:
-        """Attach the released response to its idempotency key."""
-        with self._lock:
-            hit = self._replay.get(idem) or {"user": None}
-            self._replay.put(
-                idem,
-                {"user": hit.get("user"), "status": int(status),
-                 "response": response},
-            )
+        """Attach the released response to its idempotency key.
 
-    def view(self, user: str) -> UserBudget | None:
-        book = self._books.get(user)
-        if book is None:
-            return None
+        Best-effort relative to the charge itself: losing it in a crash
+        downgrades a future retry from ``"replayed"`` to ``"pending"``
+        (re-sample, never re-charge).
+        """
+        with self._exclusive():
+            hit = self._replay.get(idem) or {}
+            entry = {"user": hit.get("user"), "status": int(status),
+                     "response": response}
+            self._journal_result(idem, entry)
+            self._replay.put(idem, entry)
+            self._maybe_compact()
+
+    def _view(self, user: str, budget: _Budget) -> UserBudget:
         return UserBudget(
-            user=user,
-            releases=len(book),
-            floor=book.floor,
-            cumulative_alpha=book.cumulative_alpha,
-            remaining_alpha=book.remaining_alpha,
+            user, budget.releases, self.floor, budget.cumulative,
+            budget.last_alpha,
         )
 
+    def view(self, user: str) -> UserBudget | None:
+        """``user``'s budget, or ``None`` when they never charged."""
+        with self._exclusive():
+            budget = self._budgets.get(user)
+            return None if budget is None else self._view(user, budget)
+
+    def budgets(self) -> list[UserBudget]:
+        """Every user's budget, read under one hold of the lock."""
+        with self._exclusive():
+            return [
+                self._view(user, budget)
+                for user, budget in self._budgets.items()
+            ]
+
     def users(self) -> int:
-        return len(self._books)
+        with self._exclusive():
+            return len(self._budgets)
+
+    def overlay(self) -> MemoryLedgerBook:
+        """A volatile book seeded with copies of this book's records and
+        idempotency replay entries.
+
+        The ``memory`` WAL-failure policy charges against it while the
+        journal is down: it starts from the exact state this book last
+        held in process (including charges whose fsync failed —
+        ambiguity over-protects), so the per-user floor and the
+        burn-down projection carry on across the outage, and retries
+        still replay (or resume as pending) instead of re-charging.
+        Only the in-process lock is taken: the book it copies has
+        usually just failed.
+        """
+        copy = MemoryLedgerBook(
+            self.floor, replay_cap=self._replay.cap, telemetry=self.telemetry
+        )
+        with self._lock:
+            for user, budget in self._budgets.items():
+                copy._budgets[user] = _Budget(
+                    budget.cumulative, budget.releases, budget.last_alpha
+                )
+            for idem, entry in self._replay.items():
+                copy._replay.put(idem, dict(entry))
+        return copy
 
     def sync(self) -> None:
         """Nothing to flush — memory books are as durable as they get."""
@@ -497,13 +608,14 @@ class MemoryLedgerBook:
     def stats(self) -> dict:
         return {
             "backend": "memory",
-            "users": len(self._books),
+            "users": len(self._budgets),
             "replay_entries": len(self._replay),
         }
 
     def __repr__(self) -> str:
         return (
-            f"<MemoryLedgerBook users={len(self._books)} floor={self.floor}>"
+            f"<MemoryLedgerBook users={len(self._budgets)} "
+            f"floor={self.floor}>"
         )
 
 
@@ -687,7 +799,7 @@ class DurableLedger(MemoryLedgerBook):
     def _reload(self) -> None:
         """Full recovery: snapshot, then journal replay, truncating a
         torn tail and refusing mid-journal corruption."""
-        self._books.clear()
+        self._budgets.clear()
         self._replay.clear()
         self._seq = 0
         self._snapshot_seq = 0
@@ -700,11 +812,13 @@ class DurableLedger(MemoryLedgerBook):
                 )
             self._snapshot_seq = self._seq = int(snapshot["seq"])
             for user, state in snapshot.get("users", {}).items():
-                book = self.book(user)
-                book.restore(
-                    _fraction(state["cum"]), label="snapshot",
-                    releases=int(state.get("releases", 1)),
-                )
+                releases = int(state.get("releases", 1))
+                if releases < 1:
+                    raise LedgerCorruptionError(
+                        f"snapshot user {user!r} summarizes {releases} "
+                        "release(s)"
+                    )
+                self._budgets[user] = _Budget(_joint(state["cum"]), releases)
             for idem, entry in snapshot.get("replay", {}).items():
                 self._replay.put(idem, dict(entry))
         self._snap_stat = self._stat_snapshot()
@@ -735,11 +849,13 @@ class DurableLedger(MemoryLedgerBook):
         op = record.get("op")
         if op == "charge":
             user = record["user"]
-            book = self.book(user)
-            book.restore(
-                _fraction(record["cum"]),
-                label=record.get("label", "release"),
-            )
+            cumulative = _joint(record["cum"])
+            budget = self._budgets.get(user)
+            if budget is None:
+                budget = self._budgets[user] = _Budget()
+            budget.last_alpha = cumulative / budget.cumulative
+            budget.cumulative = cumulative
+            budget.releases += 1
             idem = record.get("idem")
             if idem is not None:
                 existing = self._replay.get(idem)
@@ -830,81 +946,31 @@ class DurableLedger(MemoryLedgerBook):
         self._seq = record["seq"]
         self._appends_since_snapshot += 1
 
-    # -- the LedgerBook interface, durably -----------------------------
-    def charge(
-        self, user: str, alpha, *, label: str = "release", idem=None
-    ) -> ChargeDecision:
-        check_alpha(alpha)
-        alpha = Fraction(alpha)
-        with self._exclusive():
-            if idem is not None:
-                decision = self._replay_decision(user, idem)
-                if decision is not None:
-                    return decision
-            book = self.book(user)
-            proposed = book.cumulative_alpha * alpha
-            if not book.admits(proposed):
-                return ChargeDecision(
-                    "rejected", user, book.cumulative_alpha,
-                    book.remaining_alpha,
-                )
-            record = {
-                "op": "charge",
-                "seq": self._seq + 1,
-                "user": user,
-                "alpha": str(alpha),
-                "cum": str(proposed),
-                "label": label,
-            }
-            if idem is not None:
-                record["idem"] = idem
-            self._faults.crash("charge.before-append")
-            self._append(record)
-            self._faults.crash("charge.after-fsync")
-            book.record(alpha, proposed, label=label)
-            if idem is not None:
-                self._replay.put(
-                    idem, {"user": user, "status": None, "response": None}
-                )
-            decision = ChargeDecision(
-                "charged", user, proposed, book.remaining_alpha
-            )
-            self._maybe_compact()
-            return decision
+    # -- the LedgerBook hooks, durably ----------------------------------
+    #: The shared charge path, bound in this class's own namespace so
+    #: per-class instrumentation (the per-layer trace of ``perfbench/``)
+    #: can wrap durable charges alone.
+    charge = MemoryLedgerBook.charge
 
-    def record_result(self, idem: str, status: int, response: dict) -> None:
-        """Journal the released response for idempotent replay.
+    def _journal_charge(self, user, alpha, proposed, label, idem) -> None:
+        record = {
+            "op": "charge",
+            "seq": self._seq + 1,
+            "user": user,
+            "alpha": str(alpha),
+            "cum": str(proposed),
+            "label": label,
+        }
+        if idem is not None:
+            record["idem"] = idem
+        self._faults.crash("charge.before-append")
+        self._append(record)
+        self._faults.crash("charge.after-fsync")
 
-        Best-effort relative to the charge itself: losing this record in
-        a crash downgrades a future retry from ``"replayed"`` to
-        ``"pending"`` (re-sample, never re-charge).
-        """
-        with self._exclusive():
-            hit = self._replay.get(idem) or {"user": None}
-            record = {
-                "op": "result",
-                "seq": self._seq + 1,
-                "idem": idem,
-                "user": hit.get("user"),
-                "status": int(status),
-                "response": response,
-            }
-            self._faults.crash("result.before-append")
-            self._append(record)
-            self._replay.put(
-                idem,
-                {"user": hit.get("user"), "status": int(status),
-                 "response": response},
-            )
-            self._maybe_compact()
-
-    def view(self, user: str) -> UserBudget | None:
-        with self._exclusive():
-            return super().view(user)
-
-    def users(self) -> int:
-        with self._exclusive():
-            return len(self._books)
+    def _journal_result(self, idem: str, entry: dict) -> None:
+        self._faults.crash("result.before-append")
+        self._append({"op": "result", "seq": self._seq + 1, "idem": idem,
+                      **entry})
 
     def sync(self) -> None:
         """Group commit: fsync everything appended since the last sync.
@@ -986,7 +1052,7 @@ class DurableLedger(MemoryLedgerBook):
                 "snapshot_seq": self._snapshot_seq,
                 "journal_bytes_before": before,
                 "journal_bytes_after": self._size,
-                "users": len(self._books),
+                "users": len(self._budgets),
             }
 
     def _compact_locked(self) -> None:
@@ -999,10 +1065,10 @@ class DurableLedger(MemoryLedgerBook):
             "floor": str(Fraction(self.floor)),
             "users": {
                 user: {
-                    "cum": str(book.cumulative_alpha),
-                    "releases": len(book),
+                    "cum": str(budget.cumulative),
+                    "releases": budget.releases,
                 }
-                for user, book in self._books.items()
+                for user, budget in self._budgets.items()
             },
             "replay": {idem: entry for idem, entry in self._replay.items()},
         }
@@ -1039,7 +1105,7 @@ class DurableLedger(MemoryLedgerBook):
             "backend": "durable",
             "path": str(self.path),
             "fsync": self._mode,
-            "users": len(self._books),
+            "users": len(self._budgets),
             "seq": self._seq,
             "snapshot_seq": self._snapshot_seq,
             "journal_bytes": self._size,
@@ -1060,7 +1126,7 @@ class DurableLedger(MemoryLedgerBook):
     def __repr__(self) -> str:
         return (
             f"<DurableLedger path={str(self.path)!r} users="
-            f"{len(self._books)} seq={self._seq} fsync={self._mode}>"
+            f"{len(self._budgets)} seq={self._seq} fsync={self._mode}>"
         )
 
 

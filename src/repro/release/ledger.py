@@ -15,7 +15,6 @@ database below a configured privacy floor.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ __all__ = [
     "BudgetExceededError",
     "LedgerEntry",
     "PrivacyLedger",
-    "ConcurrentPrivacyLedger",
 ]
 
 
@@ -84,7 +82,6 @@ class PrivacyLedger:
             )
         self.floor = floor
         self._entries: list[LedgerEntry] = []
-        self._restored = 0
 
     # ------------------------------------------------------------------
     @property
@@ -124,10 +121,6 @@ class PrivacyLedger:
             return True
         return self.cumulative_alpha * alpha >= self.floor
 
-    def admits(self, proposed) -> bool:
-        """Whether the joint guarantee ``proposed`` keeps the floor."""
-        return self.floor == 0 or proposed >= self.floor
-
     def charge(self, alpha, *, label: str = "release") -> None:
         """Record a release at level ``alpha``.
 
@@ -138,56 +131,16 @@ class PrivacyLedger:
         """
         check_alpha(alpha)
         proposed = self.cumulative_alpha * alpha
-        if not self.admits(proposed):
+        if self.floor != 0 and proposed < self.floor:
             raise BudgetExceededError(
                 f"release {label!r} at alpha={alpha} would take the joint "
                 f"guarantee to {proposed}, below the floor {self.floor}"
             )
-        self.record(alpha, proposed, label=label)
-
-    def record(self, alpha, proposed, *, label: str = "release") -> None:
-        """Append a release whose ``alpha`` the caller already validated
-        and whose joint guarantee ``proposed`` (the current cumulative
-        times ``alpha``) it already computed and checked with
-        :meth:`admits`. The ledger books use this so one charge
-        validates and multiplies once; the caller serializes it."""
         self._entries.append(
             LedgerEntry(
                 label=label, alpha=alpha, cumulative_alpha=proposed
             )
         )
-
-    def restore(self, cumulative, *, label: str = "recovered",
-                releases: int = 1) -> None:
-        """Seed the ledger with an externally-recovered joint guarantee.
-
-        The durability layer (:mod:`repro.release.durable_ledger`)
-        rebuilds in-memory books from its write-ahead log and snapshots:
-        each replayed record carries the exact cumulative guarantee, so
-        recovery *sets* it rather than re-deriving it, and the floor is
-        deliberately not re-checked — a recovered ledger may already sit
-        at (never below) its floor, and refusing to restore it would
-        drop admitted charges. ``releases`` counts how many releases the
-        restored state summarizes (a compacted snapshot entry stands for
-        many), so :func:`len` stays truthful.
-        """
-        check_alpha(cumulative, allow_endpoints=True)
-        if cumulative == 0:
-            raise ValidationError("cannot restore a zero joint guarantee")
-        if releases < 1:
-            raise ValidationError(
-                f"restored state must summarize >= 1 release(s), "
-                f"got {releases}"
-            )
-        current = self.cumulative_alpha
-        self._entries.append(
-            LedgerEntry(
-                label=label,
-                alpha=Fraction(cumulative) / current,
-                cumulative_alpha=Fraction(cumulative),
-            )
-        )
-        self._restored += releases - 1
 
     def try_charge(self, alpha, *, label: str = "release") -> bool:
         """Charge-or-reject: record the release iff it fits the floor.
@@ -220,7 +173,7 @@ class PrivacyLedger:
         return "\n".join(lines)
 
     def __len__(self) -> int:
-        return len(self._entries) + self._restored
+        return len(self._entries)
 
     def __repr__(self) -> str:
         return (
@@ -228,45 +181,3 @@ class PrivacyLedger:
             f"cumulative={self.cumulative_alpha} floor={self.floor}>"
         )
 
-
-class ConcurrentPrivacyLedger(PrivacyLedger):
-    """A :class:`PrivacyLedger` safe under concurrent charging.
-
-    The base class's :meth:`~PrivacyLedger.charge` is already atomic
-    *within* one thread, but a serving process charges from many places
-    at once: worker threads, executor pools, and asyncio handlers that
-    must never interleave a ``can_afford`` check with someone else's
-    ``charge`` between their check and their append. This subclass
-    serializes the read-modify-write under one lock, so the invariant
-
-        ``cumulative_alpha >= floor``  (after every successful charge)
-
-    holds no matter how many racers call :meth:`charge` /
-    :meth:`try_charge` simultaneously — over-admission (two racers both
-    passing ``can_afford`` for the last budget slot) is impossible.
-
-    asyncio-safety note: a single event loop never preempts between the
-    check and the append, so the lock is uncontended there; it exists for
-    threads, and it is deliberately *not* an ``asyncio.Lock`` so the same
-    ledger object can be shared by loops and threads alike. The lock is
-    never held across anything blocking — charging is pure arithmetic.
-    """
-
-    def __init__(self, floor=0) -> None:
-        super().__init__(floor)
-        self._lock = threading.Lock()
-
-    def charge(self, alpha, *, label: str = "release") -> None:
-        with self._lock:
-            super().charge(alpha, label=label)
-
-    def restore(self, cumulative, *, label: str = "recovered",
-                releases: int = 1) -> None:
-        with self._lock:
-            super().restore(cumulative, label=label, releases=releases)
-
-    def __repr__(self) -> str:
-        return (
-            f"<ConcurrentPrivacyLedger entries={len(self._entries)} "
-            f"cumulative={self.cumulative_alpha} floor={self.floor}>"
-        )

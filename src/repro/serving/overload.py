@@ -31,9 +31,10 @@ received. This module keeps the failure modes principled:
     against a charge that cannot be made durable. Availability degrades,
     durability does not.
   - ``"memory"`` (``--wal-failure-policy memory-mode-with-alarm``) —
-    charging continues against a :func:`memory_overlay` of the ledger
-    (seeded from the in-process books, so the floor keeps binding
-    exactly where it stood), and every response is marked
+    charging continues against an
+    :meth:`~repro.release.durable_ledger.MemoryLedgerBook.overlay` of
+    the ledger (copies of the in-process records, so the floor keeps
+    binding exactly where it stood), and every response is marked
     ``"durability": "volatile"`` while ``/healthz``, ``/metrics`` and a
     tracer event raise the alarm. Availability is preserved; the
     downgrade is loud by construction — there is deliberately no silent
@@ -58,14 +59,12 @@ import time
 from dataclasses import dataclass
 
 from ..exceptions import ValidationError
-from ..release.durable_ledger import MemoryLedgerBook
 
 __all__ = [
     "AdmissionController",
     "ShedDecision",
     "WALCircuitBreaker",
     "WAL_FAILURE_POLICIES",
-    "memory_overlay",
 ]
 
 #: WAL-failure policies (CLI spellings map onto the short names).
@@ -251,31 +250,6 @@ class AdmissionController:
             "brownout": self._browned_out,
             **self.stats,
         }
-
-
-def memory_overlay(book) -> MemoryLedgerBook:
-    """A volatile ledger book seeded from ``book``'s in-process state.
-
-    Used by the ``memory`` WAL-failure policy: the overlay starts from
-    the exact cumulative guarantees the durable book last held (which
-    includes any charges whose fsync failed — ambiguity over-protects),
-    so the per-user floor keeps binding across the durability outage.
-    Completed idempotency-replay entries ride along so retries of
-    already-released responses still replay instead of re-charging.
-    """
-    overlay = MemoryLedgerBook(
-        book.floor, telemetry=getattr(book, "telemetry", None)
-    )
-    for user, ledger in book._books.items():
-        if len(ledger) == 0:
-            continue
-        overlay.book(user).restore(
-            ledger.cumulative_alpha, label="wal-outage-overlay",
-            releases=len(ledger),
-        )
-    for idem, entry in book._replay.items():
-        overlay._replay.put(idem, dict(entry))
-    return overlay
 
 
 class WALCircuitBreaker:

@@ -19,8 +19,8 @@ has already *proved*:
   (:class:`~repro.serving.batching.MicroBatcher`) into fused
   :class:`~repro.sampling.alias.HeterogeneousAliasSampler` gathers —
   mixed ``n``/``alpha`` deployments in one numpy tick;
-* every release is charged to the requesting user's
-  :class:`~repro.release.ledger.ConcurrentPrivacyLedger` *before*
+* every release is charged to the requesting user's budget in a
+  :class:`~repro.release.durable_ledger.MemoryLedgerBook` *before*
   sampling; exceeding the per-user floor is an HTTP 429, and the
   charge-or-reject is atomic so racers can never overspend. With
   ``ledger_dir=`` the book is a crash-safe
@@ -104,14 +104,14 @@ from ..release.durable_ledger import (
     DurableLedger,
     LedgerUnavailableError,
     MemoryLedgerBook,
+    UserBudget,
 )
-from ..release.ledger import ConcurrentPrivacyLedger
 from ..sampling.alias import HeterogeneousAliasSampler
 from ..sampling.rng import ensure_generator
 from .audit import OnlineAuditor
 from .batching import DEFAULT_BATCH_WINDOW, MicroBatcher
 from .fallback import DEGRADED_MODES, resolve_fallbacks
-from .overload import AdmissionController, WALCircuitBreaker, memory_overlay
+from .overload import AdmissionController, WALCircuitBreaker
 
 __all__ = ["MechanismServer"]
 
@@ -524,9 +524,13 @@ class MechanismServer:
     def deployments(self) -> tuple[_Deployment, ...]:
         return tuple(self._deployments.values())
 
-    def ledger(self, user: str) -> ConcurrentPrivacyLedger:
-        """The (created-on-first-use) ledger accounting for ``user``."""
-        return self.ledgers.book(user)
+    def ledger(self, user: str) -> UserBudget:
+        """``user``'s budget; a zero-release view for a user who never
+        charged (reading never creates one)."""
+        budget = self.ledgers.view(user)
+        if budget is None:
+            budget = UserBudget(user, 0, self.ledgers.floor, Fraction(1))
+        return budget
 
     # -- the fused execution tick --------------------------------------
     def _execute(self, tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -1010,10 +1014,10 @@ class MechanismServer:
         """A persistence failure: open the breaker, loudly.
 
         Under the ``memory`` policy this also swaps the serving book to
-        a volatile :func:`~repro.serving.overload.memory_overlay` seeded
-        from the failed durable book's in-process state — the per-user
-        floor keeps binding exactly where it stood (fsync-ambiguous
-        charges count as spent: over-protects).
+        a volatile copy of the failed durable book's in-process records
+        (:meth:`~repro.release.durable_ledger.MemoryLedgerBook.overlay`):
+        the per-user floor keeps binding exactly where it stood
+        (fsync-ambiguous charges count as spent: over-protects).
         """
         breaker = self.breaker
         was_open = breaker.open
@@ -1029,7 +1033,7 @@ class MechanismServer:
                 )
             if breaker.policy == "memory" and self._wal_overlay is None:
                 self._failed_ledger = self.ledgers
-                self._wal_overlay = memory_overlay(self.ledgers)
+                self._wal_overlay = self.ledgers.overlay()
                 self.ledgers = self._wal_overlay
 
     def _recover_wal(self) -> bool:
@@ -1090,15 +1094,12 @@ class MechanismServer:
         retry downgrades from "replayed" to "pending" (re-sample, never
         re-charge).
         """
-        for user, book in overlay._books.items():
-            view = fresh.view(user)
-            fresh_cum = Fraction(
-                1 if view is None else view.cumulative_alpha
-            )
-            delta = Fraction(book.cumulative_alpha) / fresh_cum
+        recovered = {b.user: b.cumulative_alpha for b in fresh.budgets()}
+        for budget in overlay.budgets():
+            delta = budget.cumulative_alpha / recovered.get(budget.user, 1)
             if delta >= 1:
                 continue
-            fresh.charge(user, delta, label="backfill:wal-outage")
+            fresh.charge(budget.user, delta, label="backfill:wal-outage")
         fresh.sync()
 
     # -- readiness ------------------------------------------------------

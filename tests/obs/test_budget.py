@@ -111,6 +111,23 @@ class TestBurnRows:
         assert row.remaining_charges == 1
 
 
+    def test_durable_walk_catches_up_once(self, tmp_path, monkeypatch):
+        ledger = DurableLedger(tmp_path / "led", Fraction(1, 64), fsync="off")
+        for i in range(50):
+            ledger.charge(f"u{i}", Fraction(1, 2))
+        calls = []
+        catch_up = ledger._catch_up
+
+        def counted():
+            calls.append(1)
+            catch_up()
+
+        monkeypatch.setattr(ledger, "_catch_up", counted)
+        assert len(burn_rows_from_book(ledger)) == 50
+        assert len(calls) == 1
+        ledger.close()
+
+
 class TestFloorProximity:
     def test_counts_are_cumulative_in_k(self):
         book = MemoryLedgerBook(floor=Fraction(1, 16))

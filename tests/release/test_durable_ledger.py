@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ReproError, ValidationError
+from repro.exceptions import ReproError
 from repro.release import durable_ledger
 from repro.release.durable_ledger import (
     FSYNC_MODES,
@@ -38,7 +38,6 @@ from repro.release.durable_ledger import (
     _encode_record,
     verify_ledger_dir,
 )
-from repro.release.ledger import ConcurrentPrivacyLedger, PrivacyLedger
 from repro.serving.faults import FaultInjector, FaultyFS, InjectedCrash
 
 HALF = Fraction(1, 2)
@@ -54,33 +53,56 @@ def reopen(ledger_dir, **kwargs):
     return DurableLedger(ledger_dir, **kwargs)
 
 
-class TestRestore:
-    def test_restore_sets_exact_cumulative(self):
-        ledger = PrivacyLedger(floor=Fraction(1, 16))
-        ledger.restore(Fraction(3, 7))
-        assert ledger.cumulative_alpha == Fraction(3, 7)
-        assert len(ledger) == 1
+class TestRecoveredState:
+    """What a reopened book restores from its snapshot and journal."""
 
-    def test_restore_summarizing_many_releases_keeps_len_truthful(self):
-        ledger = ConcurrentPrivacyLedger(floor=0)
-        ledger.restore(Fraction(1, 8), releases=3)
-        assert len(ledger) == 3
-        ledger.charge(HALF)
-        assert len(ledger) == 4
-        assert ledger.cumulative_alpha == Fraction(1, 16)
+    def test_snapshot_keeps_the_release_count_truthful(self, ledger_dir):
+        ledger = DurableLedger(ledger_dir, floor=0)
+        for _ in range(3):
+            ledger.charge("u", HALF)
+        ledger.compact()
+        ledger.close()
+        back = reopen(ledger_dir)
+        assert len(back.view("u")) == 3
+        back.charge("u", HALF)
+        budget = back.view("u")
+        assert budget.releases == 4
+        assert budget.cumulative_alpha == Fraction(1, 16)
+        back.close()
 
-    def test_restore_may_sit_at_the_floor(self):
-        ledger = PrivacyLedger(floor=Fraction(1, 8))
-        ledger.restore(Fraction(1, 8))
-        assert ledger.cumulative_alpha == ledger.floor
-        assert not ledger.can_afford(HALF)
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_book_recovered_at_its_floor_rejects(self, ledger_dir, compact):
+        ledger = DurableLedger(ledger_dir, Fraction(1, 8))
+        for _ in range(3):
+            ledger.charge("u", HALF)
+        if compact:
+            ledger.compact()
+        ledger.close()
+        back = reopen(ledger_dir)
+        assert back.view("u").cumulative_alpha == back.floor
+        assert back.charge("u", HALF).outcome == "rejected"
+        back.close()
 
-    def test_restore_rejects_nonsense(self):
-        ledger = PrivacyLedger()
-        with pytest.raises(ValidationError):
-            ledger.restore(0)
-        with pytest.raises(ValidationError):
-            ledger.restore(HALF, releases=0)
+    @pytest.mark.parametrize("state", [
+        {"cum": "0", "releases": 1},
+        {"cum": "3/2", "releases": 1},
+        {"cum": "1/2", "releases": 0},
+    ])
+    def test_nonsense_snapshot_state_is_refused(self, ledger_dir, state):
+        DurableLedger(ledger_dir).close()
+        snapshot = {"version": 1, "seq": 0, "floor": "0",
+                    "users": {"u": state}, "replay": {}}
+        (ledger_dir / "snapshot.json").write_bytes(_encode_record(snapshot))
+        with pytest.raises(LedgerCorruptionError):
+            reopen(ledger_dir)
+
+    def test_nonsense_journal_cumulative_is_refused(self, ledger_dir):
+        DurableLedger(ledger_dir).close()
+        record = {"op": "charge", "seq": 1, "user": "u", "alpha": "1/2",
+                  "cum": "0", "label": "release"}
+        (ledger_dir / "wal.jsonl").write_bytes(_encode_record(record))
+        with pytest.raises(LedgerCorruptionError):
+            reopen(ledger_dir)
 
 
 class TestDurableRoundtrip:

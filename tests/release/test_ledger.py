@@ -1,7 +1,6 @@
 """Tests for the privacy-budget ledger."""
 
 import math
-import threading
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.release.ledger import (
     BudgetExceededError,
-    ConcurrentPrivacyLedger,
     PrivacyLedger,
 )
 
@@ -111,65 +109,6 @@ class TestTryCharge:
         assert not ledger.try_charge(Fraction(1, 3))
         assert ledger.cumulative_alpha == Fraction(1, 2)
         assert len(ledger) == 1
-
-
-class TestConcurrentLedger:
-    def test_is_a_ledger(self):
-        ledger = ConcurrentPrivacyLedger(floor=Fraction(1, 4))
-        ledger.charge(Fraction(1, 2))
-        with pytest.raises(BudgetExceededError):
-            ledger.charge(Fraction(1, 3))
-        assert ledger.cumulative_alpha == Fraction(1, 2)
-
-    def test_racers_never_overspend_floor(self):
-        # Floor (1/2)^K admits exactly K successful alpha=1/2 charges;
-        # far more racers all try at once, and the exact-arithmetic
-        # accounting must admit exactly K of them no matter the
-        # interleaving.
-        K = 16
-        ledger = ConcurrentPrivacyLedger(floor=Fraction(1, 2) ** K)
-        outcomes = []
-        barrier = threading.Barrier(8)
-
-        def racer():
-            barrier.wait()
-            for _ in range(K):  # 8 threads x K attempts >> K slots
-                outcomes.append(ledger.try_charge(Fraction(1, 2)))
-
-        threads = [threading.Thread(target=racer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(outcomes) == K
-        assert ledger.cumulative_alpha == Fraction(1, 2) ** K
-        assert ledger.cumulative_alpha >= ledger.floor
-        assert len(ledger) == K
-
-    def test_concurrent_mixed_alphas_respect_floor(self):
-        ledger = ConcurrentPrivacyLedger(floor=Fraction(1, 64))
-        alphas = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)] * 20
-        barrier = threading.Barrier(6)
-
-        def racer(chunk):
-            barrier.wait()
-            for alpha in chunk:
-                ledger.try_charge(alpha)
-
-        threads = [
-            threading.Thread(target=racer, args=(alphas[i::6],))
-            for i in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Whatever interleaving happened, the invariant held.
-        assert ledger.cumulative_alpha >= ledger.floor
-        product = Fraction(1)
-        for entry in ledger.entries:
-            product *= entry.alpha
-        assert product == ledger.cumulative_alpha
 
 
 class TestReport:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.obs.budget import burn_rows_from_book
 from repro.release.artifacts import ArtifactSpec, ArtifactStore
 from repro.release.durable_ledger import (
     DurableLedger,
@@ -27,7 +28,6 @@ from repro.serving import (
     ShedDecision,
     WALCircuitBreaker,
     fsync_storm,
-    memory_overlay,
 )
 
 HALF = Fraction(1, 2)
@@ -202,7 +202,7 @@ class TestMemoryOverlay:
         book.charge("alice", HALF)
         book.charge("bob", HALF)
         book.record_result("a-1", 200, {"value": 5})
-        overlay = memory_overlay(book)
+        overlay = book.overlay()
         assert overlay.view("alice").cumulative_alpha == HALF ** 2
         assert overlay.view("bob").cumulative_alpha == HALF
         # The floor keeps binding exactly where it stood: one more
@@ -213,12 +213,17 @@ class TestMemoryOverlay:
         decision = overlay.charge("alice", HALF, idem="a-1")
         assert decision.outcome == "replayed"
         assert decision.replay == (200, {"value": 5})
+        # The overlay holds copies: the source book is untouched.
+        assert book.view("alice").cumulative_alpha == HALF ** 2
 
-    def test_overlay_skips_userless_books(self):
-        book = MemoryLedgerBook(HALF ** 3)
-        book.book("ghost")  # created but never charged
-        overlay = memory_overlay(book)
-        assert overlay.view("ghost") is None
+    def test_overlay_keeps_the_burn_down_projection(self):
+        book = MemoryLedgerBook(Fraction(1, 16))
+        book.charge("u", HALF)
+        book.charge("u", HALF)
+        (before,) = burn_rows_from_book(book)
+        (after,) = burn_rows_from_book(book.overlay())
+        assert (after.last_alpha, after.remaining_charges) == (HALF, 2)
+        assert after == before
 
 
 class TestServerSheds:

@@ -179,6 +179,18 @@ class TestPublish:
         assert other[0] == 200
         assert server.metrics["rejected_budget"] == 1
 
+    def test_ledger_reads_never_create_users(self, store):
+        server = make_server(store, floor=Fraction(1, 4))
+        run(InProcessClient(server).publish(
+            user="u", n=8, alpha="1/2", true_result=0
+        ))
+        ghost = server.ledger("ghost")
+        assert len(ghost) == 0
+        assert ghost.cumulative_alpha == 1
+        assert ghost.remaining_alpha == Fraction(1, 4)
+        assert len(server.ledger("u")) == 1
+        assert server.ledgers.users() == 1
+
     def test_concurrent_publishes_fuse_across_deployments(self, store):
         server = make_server(store, batch_window=0.005)
         client = InProcessClient(server)

@@ -53,6 +53,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "TallyFold",
     "default_latency_buckets",
     "default_registry",
     "set_default_registry",
@@ -346,13 +347,16 @@ class MetricsRegistry:
     ``register_collector`` adds a zero-argument callback run before
     every render/snapshot — the hook the serving layer uses to refresh
     scrape-time gauges (budget burn rates are computed from the ledger
-    on demand rather than updated on the request hot path).
+    on demand rather than updated on the request hot path) and to fold
+    event tallies (:class:`TallyFold`). Collectors run one scrape at a
+    time, so no growth is folded twice.
     """
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
         self._collectors: list = []
         self._lock = threading.Lock()
+        self._collect_lock = threading.Lock()
 
     # -- family construction -------------------------------------------
     def _family(self, cls, name, help, labels, **kwargs) -> _Family:
@@ -395,8 +399,9 @@ class MetricsRegistry:
         self._collectors.append(callback)
 
     def _collect(self) -> None:
-        for callback in list(self._collectors):
-            callback()
+        with self._collect_lock:
+            for callback in list(self._collectors):
+                callback()
 
     def families(self) -> list:
         return list(self._families.values())
@@ -434,6 +439,38 @@ class MetricsRegistry:
                 "series": series,
             }
         return out
+
+
+class TallyFold:
+    """Folds a layer's plain event tallies into metric families.
+
+    Each call adds only what a tally grew by since the previous call,
+    so layers sharing one registry sum instead of overwriting each
+    other. A series appears at its first non-zero count.
+    """
+
+    def __init__(self) -> None:
+        self._seen: dict = {}
+
+    def counter(self, family: Counter, labels: tuple, total) -> None:
+        key = (family.name, labels)
+        delta = total - self._seen.get(key, 0)
+        if delta:
+            family.labels(*labels).inc(delta)
+            self._seen[key] = total
+
+    def histogram(self, family: Histogram, counts, total) -> None:
+        """``counts`` has one entry per bucket (``+Inf`` last);
+        ``total`` is the sum of the observed values."""
+        seen = self._seen.get(family.name, [0] * (len(counts) + 1))
+        deltas = [now - was for now, was in zip((*counts, total), seen)]
+        if any(deltas):
+            child = family.labels()
+            for index, delta in enumerate(deltas[:-1]):
+                child.counts[index] += delta
+            child.count += sum(deltas[:-1])
+            child.sum += deltas[-1]
+            self._seen[family.name] = (*counts, total)
 
 
 def _series_name(name, label_names, label_values, extra=()) -> str:

@@ -144,6 +144,9 @@ class OnlineAuditor:
         self._rng = ensure_generator(rng)
         self._deployments: dict[int, _Deployment] = {}
         self.last_findings: tuple[AuditFinding, ...] = ()
+        # Sweeps run, and their findings by flagged verdict.
+        self.sweeps = 0
+        self.verdicts = {True: 0, False: 0}
 
     def register(self, index: int, artifact) -> None:
         """Start auditing a deployment served under batcher ``index``.
@@ -243,6 +246,9 @@ class OnlineAuditor:
             self._judge(deployment)
             for deployment in self._deployments.values()
         )
+        self.sweeps += 1
+        for finding in self.last_findings:
+            self.verdicts[finding.flagged] += 1
         return self.last_findings
 
     def flagged(self) -> tuple[AuditFinding, ...]:

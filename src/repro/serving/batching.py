@@ -28,14 +28,15 @@ The executor callback is synchronous and must never block the loop for
 long — the intended executor is a pure alias-table gather plus counter
 updates (see :meth:`repro.serving.server.MechanismServer`).
 
-Telemetry: ``stats`` records a per-reason flush breakdown and a
-power-of-two occupancy histogram alongside the legacy counters; when a
+Telemetry: ``stats`` is derived from one tally of queries, flushes by
+reason and power-of-two batch sizes; when a
 :class:`repro.obs.Telemetry` is attached, flushes also land in the
-metrics registry and — for requests being traced — a ``batch.flush``
-span is broadcast to every traced request fused into the batch (the
-batcher binds the batch's trace contexts around ``execute``, so spans
-opened inside it, like the group-commit fsync and the fused gather,
-join every one of those traces).
+metrics registry (folded from that tally at scrape time) and — for
+requests being traced — a ``batch.flush`` span is broadcast to every
+traced request fused into the batch (the batcher binds the batch's
+trace contexts around ``execute``, so spans opened inside it, like the
+group-commit fsync and the fused gather, join every one of those
+traces).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from collections.abc import Callable
 import numpy as np
 
 from ..exceptions import ValidationError
+from ..obs.metrics import TallyFold
 from ..release.durable_ledger import NO_FAULTS
 
 __all__ = ["DEFAULT_BATCH_WINDOW", "MicroBatcher"]
@@ -60,6 +62,11 @@ FLUSH_REASONS = ("max_size", "idle", "deadline", "manual", "close")
 #: The batch window every serving entry point defaults to (the server,
 #: ``repro serve --batch-window`` and fleet workers): flush on idle.
 DEFAULT_BATCH_WINDOW = 0.0
+
+#: Batch-size tally slots: slot ``i < 15`` counts batches of at most
+#: ``2**i`` rows (and more than half that), slot 15 larger ones — the
+#: buckets of the ``repro_batch_size`` histogram.
+_SIZE_SLOTS = 16
 
 
 class MicroBatcher:
@@ -89,7 +96,7 @@ class MicroBatcher:
     ``flush_reasons`` (counts per :data:`FLUSH_REASONS`) and
     ``occupancy`` (power-of-two batch size buckets: key ``"1"`` counts
     1-row batches, ``"2"`` 2-row, ``"4"`` 3-4, doubling up to
-    ``"16384+"``).
+    ``"8192"``, then ``"16384+"`` for anything larger).
     """
 
     def __init__(
@@ -115,25 +122,43 @@ class MicroBatcher:
         # The scheduled flush of the open batch: a ``call_soon`` handle
         # (idle flush) or a ``call_later`` one (deadline).
         self._timer: asyncio.Handle | None = None
-        self.stats = {
-            "queries": 0,
-            "batches": 0,
-            "size_flushes": 0,
-            "deadline_flushes": 0,
-            "max_batch": 0,
-            # High-water mark of parked queries: the admission
-            # controller bounds in-flight publishes, and this is the
-            # observable proof the bound held (peak_pending <= queue
-            # depth + the executing batch).
-            "peak_pending": 0,
-            "flush_reasons": {reason: 0 for reason in FLUSH_REASONS},
-            "occupancy": {
-                str(1 << i): 0 for i in range(15)
-            },
+        self._queries = 0
+        # High-water mark of parked queries: the admission controller
+        # bounds in-flight publishes, and this is the observable proof
+        # the bound held (peak_pending <= queue depth + the executing
+        # batch).
+        self._peak_pending = 0
+        self._max_batch = 0
+        self._rows = 0
+        self._flushes = {reason: 0 for reason in FLUSH_REASONS}
+        self._sizes = [0] * _SIZE_SLOTS
+        if telemetry is not None:
+            self._fold = TallyFold()
+            telemetry.registry.register_collector(self._fold_counts)
+
+    @property
+    def stats(self) -> dict:
+        """A fresh dict derived from the tally."""
+        flushes = self._flushes
+        sizes = self._sizes
+        occupancy = {str(1 << i): sizes[i] for i in range(_SIZE_SLOTS - 2)}
+        occupancy["16384+"] = sizes[-2] + sizes[-1]
+        return {
+            "queries": self._queries,
+            "batches": sum(flushes.values()),
+            "size_flushes": flushes["max_size"],
+            "deadline_flushes": flushes["deadline"],
+            "max_batch": self._max_batch,
+            "peak_pending": self._peak_pending,
+            "flush_reasons": dict(flushes),
+            "occupancy": occupancy,
         }
-        self.stats["occupancy"]["16384+"] = self.stats["occupancy"].pop(
-            "16384"
-        )
+
+    def _fold_counts(self) -> None:
+        obs = self.telemetry
+        for reason, count in self._flushes.items():
+            self._fold.counter(obs.batch_flushes, (reason,), count)
+        self._fold.histogram(obs.batch_size, self._sizes, self._rows)
 
     @property
     def pending(self) -> int:
@@ -152,34 +177,19 @@ class MicroBatcher:
         self._pending.append((int(table), int(row), future))
         if trace is not None:
             self._traced.append(trace)
-        self.stats["queries"] += 1
-        if len(self._pending) > self.stats["peak_pending"]:
-            self.stats["peak_pending"] = len(self._pending)
+        self._queries += 1
+        if len(self._pending) > self._peak_pending:
+            self._peak_pending = len(self._pending)
         if len(self._pending) >= self.max_size:
-            self.stats["size_flushes"] += 1
             self.flush(reason="max_size")
         elif self._timer is None:
             if self.window > 0:
                 self._timer = loop.call_later(
-                    self.window, self._deadline_flush
+                    self.window, self.flush, "deadline"
                 )
             else:
                 self._timer = loop.call_soon(self.flush, "idle")
         return await future
-
-    def _deadline_flush(self) -> None:
-        self.stats["deadline_flushes"] += 1
-        self.flush(reason="deadline")
-
-    def _record_occupancy(self, size: int) -> None:
-        buckets = self.stats["occupancy"]
-        if size >= 16384:
-            buckets["16384+"] += 1
-            return
-        bound = 1
-        while bound < size:
-            bound <<= 1
-        buckets[str(bound)] += 1
 
     def flush(self, reason: str = "manual") -> None:
         """Execute everything pending as one fused tick (no-op if empty).
@@ -194,10 +204,12 @@ class MicroBatcher:
         traced, self._traced = self._traced, []
         if not pending:
             return
-        self.stats["batches"] += 1
-        self.stats["max_batch"] = max(self.stats["max_batch"], len(pending))
-        self.stats["flush_reasons"][reason] += 1
-        self._record_occupancy(len(pending))
+        size = len(pending)
+        self._flushes[reason] += 1
+        self._sizes[min((size - 1).bit_length(), _SIZE_SLOTS - 1)] += 1
+        self._rows += size
+        if size > self._max_batch:
+            self._max_batch = size
         tables = np.fromiter(
             (item[0] for item in pending), dtype=np.int64, count=len(pending)
         )
@@ -242,8 +254,6 @@ class MicroBatcher:
             if batch_token is not None:
                 obs.tracer.deactivate_batch(batch_token)
         if obs is not None:
-            obs.batch_flushes.labels(reason).inc()
-            obs.batch_size.observe(float(len(pending)))
             obs.batch_flush_latency.observe(time.perf_counter() - t0)
         for (_, _, future), value in zip(pending, values):
             # A caller may have timed out / been cancelled mid-batch;

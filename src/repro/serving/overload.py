@@ -18,7 +18,7 @@ received. This module keeps the failure modes principled:
   its own optional work first — audit sampling and trace sampling are
   skipped — before it sheds any more user requests. Observability
   degrades before availability does, and the skips are counted
-  (``repro_brownout_skips_total``), never silent.
+  (``repro_serving_brownout_skips_total``), never silent.
 * :class:`WALCircuitBreaker` — wraps the durable ledger's failure
   domain. When the write-ahead log stops persisting charges (ENOSPC,
   EIO, a dying disk — surfaced as
@@ -70,6 +70,11 @@ __all__ = [
 #: WAL-failure policies (CLI spellings map onto the short names).
 WAL_FAILURE_POLICIES = ("reject", "memory")
 
+#: HTTP status of a shed request, by reason: 429 for a full queue (the
+#: client should back off), 503 for a deadline miss (the *server*
+#: cannot serve in time).
+SHED_STATUS = {"queue_full": 429, "deadline": 503}
+
 #: Smoothing factor of the service-time EWMA: small enough to ride out
 #: one slow batch, large enough to track a real regime change within a
 #: few dozen requests.
@@ -84,10 +89,8 @@ _MIN_RETRY_AFTER = 0.01
 class ShedDecision:
     """Why a request was shed, before any ledger charge happened.
 
-    ``status`` is the HTTP status to return (429 for a full queue — the
-    client should back off; 503 for a deadline miss or an open breaker —
-    the *server* cannot serve in time), ``retry_after`` the seconds a
-    client should wait before retrying.
+    ``status`` is the HTTP status to return (:data:`SHED_STATUS`),
+    ``retry_after`` the seconds a client should wait before retrying.
     """
 
     status: int
@@ -177,22 +180,14 @@ class AdmissionController:
         returns the slot.
         """
         if self.capacity and self.inflight >= self.capacity:
-            return self._shed(
-                ShedDecision(
-                    429,
-                    "queue_full",
-                    max(_MIN_RETRY_AFTER, self.estimated_wait()),
-                )
-            )
+            return self._shed("queue_full", self.estimated_wait())
         limit = self.shed_deadline
         if deadline is not None and deadline >= 0:
             limit = deadline if limit <= 0 else min(limit, deadline)
         if limit > 0:
             wait = self.estimated_wait()
             if wait > limit:
-                return self._shed(
-                    ShedDecision(503, "deadline", max(_MIN_RETRY_AFTER, wait))
-                )
+                return self._shed("deadline", wait)
         self.inflight += 1
         self.stats["admitted"] += 1
         if self.inflight > self.stats["peak_inflight"]:
@@ -212,10 +207,12 @@ class AdmissionController:
                     elapsed - self.service_ewma
                 )
 
-    def _shed(self, decision: ShedDecision) -> ShedDecision:
-        self.stats[f"shed_{decision.reason}"] += 1
+    def _shed(self, reason: str, wait: float) -> ShedDecision:
+        self.stats[f"shed_{reason}"] += 1
         self._record(1)
-        return decision
+        return ShedDecision(
+            SHED_STATUS[reason], reason, max(_MIN_RETRY_AFTER, wait)
+        )
 
     # -- brownout -------------------------------------------------------
     def _record(self, shed: int) -> None:

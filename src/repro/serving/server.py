@@ -94,6 +94,7 @@ from ..obs import (
     default_registry,
     floor_proximity,
 )
+from ..obs.metrics import TallyFold
 from ..release.artifacts import (
     ArtifactSpec,
     resolve_artifact_store,
@@ -111,7 +112,7 @@ from ..sampling.rng import ensure_generator
 from .audit import OnlineAuditor
 from .batching import DEFAULT_BATCH_WINDOW, MicroBatcher
 from .fallback import DEGRADED_MODES, resolve_fallbacks
-from .overload import AdmissionController, WALCircuitBreaker
+from .overload import SHED_STATUS, AdmissionController, WALCircuitBreaker
 
 __all__ = ["MechanismServer"]
 
@@ -142,6 +143,21 @@ _MAX_IDEM = 128
 #: tiny; anything bigger is a client bug or abuse).
 _MAX_BODY = 1 << 16
 
+#: The HTTP status of each final outcome of an admitted publish; every
+#: answered publish is tallied under exactly one. A replay answers with
+#: the journaled response, and only 200s are journaled.
+_PUBLISH_STATUS = {
+    "published": 200,
+    "replayed": 200,
+    "bad_request": 400,
+    "not_found": 404,
+    "rejected": 429,
+    "errors": 500,
+    "quarantined_requests": 503,
+    "breaker_rejected": 503,
+    "ledger_unavailable": 503,
+}
+
 #: Sentinel distinguishing "cached as invalid" from "not cached".
 _UNCACHED = object()
 
@@ -171,9 +187,7 @@ _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class _Deployment:
-    __slots__ = (
-        "index", "spec", "artifact", "verification", "latency", "charges"
-    )
+    __slots__ = ("index", "spec", "artifact", "verification", "latency")
 
     def __init__(self, index, spec, artifact, verification) -> None:
         self.index = index
@@ -181,12 +195,9 @@ class _Deployment:
         self.artifact = artifact
         self.verification = verification
         # Telemetry: the pre-resolved latency-histogram child for this
-        # deployment's spec-key label (None when telemetry is off) and a
-        # plain charge count the scrape-time collector turns into the
-        # epsilon-spent gauge — the hot path pays one histogram observe
-        # and one integer increment, never a label resolution.
+        # deployment's spec-key label (None when telemetry is off); its
+        # count of served publishes also drives the epsilon-spent gauge.
         self.latency = None
-        self.charges = 0
 
 
 class MechanismServer:
@@ -244,10 +255,11 @@ class MechanismServer:
         ``None`` (default) builds a :class:`repro.obs.Telemetry` over a
         private registry (merged with the process default registry —
         where the solver layer reports — at scrape time);
-        ``False`` disables telemetry entirely (the configuration
-        ``benchmarks/bench_observability.py`` measures overhead
-        against); an explicit :class:`~repro.obs.Telemetry` is adopted
-        as-is (shared registries across servers included).
+        ``False`` drops exposition and traces, keeping :attr:`metrics`
+        (the configuration ``benchmarks/bench_observability.py``
+        measures overhead against); an explicit
+        :class:`~repro.obs.Telemetry` is adopted as-is (shared
+        registries across servers included).
     trace_rate / trace_dir / trace_ring / trace_seed:
         Tracer construction for the default telemetry: the fraction of
         requests traced end-to-end, the directory receiving the JSONL
@@ -344,16 +356,19 @@ class MechanismServer:
         # within the bench-enforced overhead ceiling, so the per-request
         # telemetry work is all C-level: the sampling coin is a bound
         # RNG draw, the active-trace check a bound ContextVar.get, and
-        # request/outcome tallies are plain dicts that the scrape-time
-        # collector mirrors into the Prometheus families.
+        # request/outcome counts live in one plain tally (kept with or
+        # without telemetry: final publish outcomes, charge decisions,
+        # degraded responses, brownout skips) that the scrape-time
+        # collector folds into the Prometheus families.
         self._may_trace = obs is not None and obs.tracer.rate > 0.0
         self._trace_rate = obs.tracer.rate if obs is not None else 0.0
         self._trace_coin = obs.tracer.coin if obs is not None else None
         self._trace_begin = obs.tracer.begin if obs is not None else None
-        self._status_counts: dict[int, int] = {}
-        self._outcome_counts = {
-            "charged": 0, "rejected": 0, "replayed": 0, "pending": 0
-        }
+        self._tally = dict.fromkeys(
+            (*_PUBLISH_STATUS, "charged", "pending", "degraded",
+             "brownout_audit", "brownout_trace"),
+            0,
+        )
         self._latency_pending: list = []
         if ledger is not None:
             self.ledgers = ledger
@@ -407,25 +422,8 @@ class MechanismServer:
             faults=self.faults, telemetry=obs,
         )
         if obs is not None:
+            self._fold = TallyFold()
             obs.registry.register_collector(self._collect_gauges)
-        self.metrics = {
-            "requests": 0,
-            "published": 0,
-            "replayed": 0,
-            "rejected_budget": 0,
-            "not_found": 0,
-            "bad_request": 0,
-            "quarantined_requests": 0,
-            "shed": 0,
-            "degraded": 0,
-            "breaker_rejected": 0,
-            "brownout_skips": 0,
-            "ledger_unavailable": 0,
-            "errors": 0,
-            "audit_recorded": 0,
-            "audit_sweeps": 0,
-            "audit_flagged": 0,
-        }
         self._http_server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.Task] = set()
         self._shutdown: asyncio.Event | None = None
@@ -524,6 +522,35 @@ class MechanismServer:
     def deployments(self) -> tuple[_Deployment, ...]:
         return tuple(self._deployments.values())
 
+    @property
+    def metrics(self) -> dict:
+        """JSON ``/metrics`` counters, derived from each layer's tally.
+
+        ``requests`` counts answered admitted publishes (sheds are in
+        ``shed``); ``audit_flagged`` counts the latest sweep's flags.
+        """
+        tally = self._tally
+        auditor = self.auditor
+        metrics = {outcome: tally[outcome] for outcome in _PUBLISH_STATUS}
+        metrics["requests"] = sum(metrics.values())
+        metrics["rejected_budget"] = metrics.pop("rejected")
+        metrics.update(
+            shed=sum(self._sheds().values()),
+            degraded=tally["degraded"],
+            brownout_skips=tally["brownout_audit"] + tally["brownout_trace"],
+            audit_recorded=auditor.samples,
+            audit_sweeps=auditor.sweeps,
+            audit_flagged=len(auditor.flagged()),
+        )
+        return metrics
+
+    def _sheds(self) -> dict:
+        """Sheds by reason, as the admission controller tallied them."""
+        if self.admission is None:
+            return {}
+        stats = self.admission.stats
+        return {reason: stats[f"shed_{reason}"] for reason in SHED_STATUS}
+
     def ledger(self, user: str) -> UserBudget:
         """``user``'s budget; a zero-release view for a user who never
         charged (reading never creates one)."""
@@ -567,13 +594,9 @@ class MechanismServer:
             # Brownout: shed our own optional work before any more user
             # requests — the audit slice can skip a tick, user traffic
             # cannot. Loud, never silent.
-            self.metrics["brownout_skips"] += 1
-            if self._obs is not None:
-                self._obs.brownout_skips.labels("audit").inc()
+            self._tally["brownout_audit"] += 1
         else:
-            recorded = self.auditor.observe(tables, rows, values)
-            if recorded:
-                self.metrics["audit_recorded"] += recorded
+            self.auditor.observe(tables, rows, values)
         if self.audit_every > 0:
             self._batches_since_sweep += 1
             if self._batches_since_sweep >= self.audit_every:
@@ -584,14 +607,9 @@ class MechanismServer:
         """Run an audit sweep now; returns the findings."""
         self._batches_since_sweep = 0
         findings = self.auditor.sweep()
-        self.metrics["audit_sweeps"] += 1
-        self.metrics["audit_flagged"] = sum(1 for f in findings if f.flagged)
         obs = self._obs
         if obs is not None:
             for finding in findings:
-                obs.audit_findings.labels(
-                    "true" if finding.flagged else "false"
-                ).inc()
                 # Findings bypass trace sampling — a divergence from the
                 # re-derived law is always worth a record.
                 obs.tracer.event(
@@ -626,28 +644,66 @@ class MechanismServer:
             bucket.append(elapsed)
         for deployment, values in by_deployment.items():
             deployment.latency.observe_many(values)
-            deployment.charges += len(values)
+
+    def _fold_counts(self) -> None:
+        """Fold every event tally into its counter family."""
+        obs = self._obs
+        fold = self._fold.counter
+        tally = self._tally
+        by_status = dict.fromkeys(_PUBLISH_STATUS.values(), 0)
+        for outcome, status in _PUBLISH_STATUS.items():
+            by_status[status] += tally[outcome]
+        for reason, count in self._sheds().items():
+            by_status[SHED_STATUS[reason]] += count
+            fold(obs.sheds, (reason,), count)
+        for status, count in by_status.items():
+            fold(obs.requests, ("publish", str(status)), count)
+        for outcome in ("charged", "rejected", "replayed", "pending"):
+            fold(obs.ledger_outcomes, (outcome,), tally[outcome])
+        fold(obs.brownout_skips, ("audit",), tally["brownout_audit"])
+        fold(obs.brownout_skips, ("trace",), tally["brownout_trace"])
+        fold(obs.degraded_responses, (), tally["degraded"])
+        for flagged, count in self.auditor.verdicts.items():
+            fold(obs.audit_findings, (str(flagged).lower(),), count)
+        fold(obs.breaker_trips, ("open",), self.breaker.trips)
+        fold(obs.breaker_trips, ("recover",), self.breaker.recoveries)
 
     def _collect_gauges(self) -> None:
-        """Scrape-time collector: request tallies, budget burn, WAL.
+        """Scrape-time collector: event tallies, budget burn, WAL.
 
-        Registered on the telemetry registry, so the work — mirroring
-        the hot-path dict tallies into their Prometheus families,
-        walking the ledger books for burn rows, ranking the top burners
-        — happens per scrape/snapshot, never on the request path. Never
-        raises: a scrape must not fail because the ledger is
+        Registered on the telemetry registry, so the work — folding the
+        tallies into their counter families, walking the ledger books
+        for burn rows, ranking the top burners — happens per
+        scrape/snapshot, never on the request path. Only the ledger
+        walks are guarded: a scrape must not fail because the ledger is
         mid-shutdown.
         """
         obs = self._obs
-        try:
-            self._fold_latency()
-            for status, count in self._status_counts.items():
-                obs.requests.labels("publish", str(status)).value = float(
-                    count
+        self._fold_latency()
+        self._fold_counts()
+        for deployment in self._deployments.values():
+            alpha = float(deployment.spec.alpha)
+            if 0 < alpha < 1:
+                obs.deployment_epsilon.labels(
+                    deployment.spec.key()[:12]
+                ).set(deployment.latency.count * -math.log(alpha))
+        obs.breaker_state.set(1.0 if self.breaker.open else 0.0)
+        admission = self.admission
+        if admission is not None:
+            obs.admission_inflight.set(float(admission.inflight))
+            obs.admission_brownout.set(1.0 if admission.brownout else 0.0)
+        if self.degraded == "geometric":
+            obs.degraded_deployments.set(
+                float(
+                    sum(
+                        1
+                        for q in self._quarantined.values()
+                        if q.get("fallback_key") is not None
+                    )
                 )
-            for outcome, count in self._outcome_counts.items():
-                if count:
-                    obs.ledger_outcomes.labels(outcome).value = float(count)
+            )
+        obs.worker_ready.set(1.0 if self.readiness()[0] else 0.0)
+        try:
             stats = self.ledgers.stats()
             if "journal_bytes" in stats:
                 obs.wal_journal_bytes.set(stats["journal_bytes"])
@@ -658,30 +714,6 @@ class MechanismServer:
                 obs.user_spent_fraction.labels(row.user).set(
                     row.spent_fraction
                 )
-            for deployment in self._deployments.values():
-                alpha = float(deployment.spec.alpha)
-                if 0 < alpha < 1:
-                    obs.deployment_epsilon.labels(
-                        deployment.spec.key()[:12]
-                    ).set(deployment.charges * -math.log(alpha))
-            obs.breaker_state.set(1.0 if self.breaker.open else 0.0)
-            admission = self.admission
-            if admission is not None:
-                obs.admission_inflight.set(float(admission.inflight))
-                obs.admission_brownout.set(
-                    1.0 if admission.brownout else 0.0
-                )
-            if self.degraded == "geometric":
-                obs.degraded_deployments.set(
-                    float(
-                        sum(
-                            1
-                            for q in self._quarantined.values()
-                            if q.get("fallback_key") is not None
-                        )
-                    )
-                )
-            obs.worker_ready.set(1.0 if self.readiness()[0] else 0.0)
         except Exception:  # noqa: BLE001 - scrapes must stay available
             pass
 
@@ -755,11 +787,6 @@ class MechanismServer:
                 deadline = None
         shed = admission.try_admit(deadline)
         if shed is not None:
-            self.metrics["shed"] += 1
-            if self._obs is not None:
-                self._obs.sheds.labels(shed.reason).inc()
-                counts = self._status_counts
-                counts[shed.status] = counts.get(shed.status, 0) + 1
             return shed.status, {
                 "error": "overloaded: the request was shed before any "
                 "budget charge; retry after the hinted delay (no "
@@ -774,12 +801,12 @@ class MechanismServer:
             admission.release(time.perf_counter() - t_admit)
 
     async def _observed_publish(self, payload: dict) -> tuple[int, dict]:
-        """Telemetry wrapper: one latency clock, the per-status request
-        counter, and — for the sampled fraction — the root
-        ``server.publish`` span bound to the task so every layer below
-        joins the same trace. Traced responses carry the trace ID under
-        ``"trace"``. Under brownout the trace coin is skipped entirely
-        (optional work sheds first) and the skip is counted.
+        """Telemetry wrapper: one latency clock and — for the sampled
+        fraction — the root ``server.publish`` span bound to the task so
+        every layer below joins the same trace. Traced responses carry
+        the trace ID under ``"trace"``. Under brownout the trace coin is
+        skipped entirely (optional work sheds first) and the skip is
+        counted.
         """
         obs = self._obs
         if obs is None:
@@ -788,8 +815,7 @@ class MechanismServer:
         ctx = None
         admission = self.admission
         if self._may_trace and admission is not None and admission.brownout:
-            self.metrics["brownout_skips"] += 1
-            obs.brownout_skips.labels("trace").inc()
+            self._tally["brownout_trace"] += 1
         elif self._may_trace:
             # Inline of Tracer.sample: one C-level RNG draw decides,
             # and only the sampled fraction constructs a context.
@@ -797,31 +823,28 @@ class MechanismServer:
             if rate >= 1.0 or self._trace_coin() < rate:
                 ctx = self._trace_begin()
         if ctx is None:
-            status, response = await self._publish(payload, t0)
-        else:
-            token = obs.tracer.activate(ctx)
-            try:
-                with obs.tracer.span("server.publish"):
-                    status, response = await self._publish(payload, t0, ctx)
-            finally:
-                obs.tracer.deactivate(token)
-            response["trace"] = ctx.trace_id
-        counts = self._status_counts
-        counts[status] = counts.get(status, 0) + 1
+            return await self._publish(payload, t0)
+        token = obs.tracer.activate(ctx)
+        try:
+            with obs.tracer.span("server.publish"):
+                status, response = await self._publish(payload, t0, ctx)
+        finally:
+            obs.tracer.deactivate(token)
+        response["trace"] = ctx.trace_id
         return status, response
 
     async def _publish(
         self, payload: dict, t0: float, trace_ctx=None
     ) -> tuple[int, dict]:
-        self.metrics["requests"] += 1
+        tally = self._tally
         user = payload.get("user")
         if not isinstance(user, str) or not user:
-            self.metrics["bad_request"] += 1
+            tally["bad_request"] += 1
             return 400, {"error": "payload needs a non-empty string 'user'"}
         try:
             key, alpha = self._resolve_spec(payload)
         except ValidationError as err:
-            self.metrics["bad_request"] += 1
+            tally["bad_request"] += 1
             return 400, {"error": str(err)}
         degraded_from = None
         quarantined = self._quarantined.get(key)
@@ -832,7 +855,7 @@ class MechanismServer:
                 if fb_key is not None:
                     fallback = self._deployments.get(fb_key)
             if fallback is None:
-                self.metrics["quarantined_requests"] += 1
+                tally["quarantined_requests"] += 1
                 return 503, {
                     "error": "deployment is quarantined (failed load-time "
                     "verification); recompile it with `repro compile`",
@@ -849,7 +872,7 @@ class MechanismServer:
         else:
             deployment = self._deployments.get(key)
             if deployment is None:
-                self.metrics["not_found"] += 1
+                tally["not_found"] += 1
                 return 404, {
                     "error": "deployment is not compiled/loaded; pre-warm "
                     "it with `repro compile` (use --side-grid for "
@@ -859,10 +882,10 @@ class MechanismServer:
         try:
             row = int(payload["true_result"])
         except (KeyError, TypeError, ValueError):
-            self.metrics["bad_request"] += 1
+            tally["bad_request"] += 1
             return 400, {"error": "payload needs an integer 'true_result'"}
         if not 0 <= row <= deployment.spec.n:
-            self.metrics["bad_request"] += 1
+            tally["bad_request"] += 1
             return 400, {
                 "error": f"true_result must lie in [0, {deployment.spec.n}]"
             }
@@ -870,7 +893,7 @@ class MechanismServer:
         if idem is not None and not (
             isinstance(idem, str) and 0 < len(idem) <= _MAX_IDEM
         ):
-            self.metrics["bad_request"] += 1
+            tally["bad_request"] += 1
             return 400, {
                 "error": "optional 'idem' must be a non-empty string of "
                 f"at most {_MAX_IDEM} characters"
@@ -885,7 +908,7 @@ class MechanismServer:
             if breaker.should_probe():
                 self._recover_wal()
             if breaker.open and breaker.policy == "reject":
-                self.metrics["breaker_rejected"] += 1
+                tally["breaker_rejected"] += 1
                 return 503, {
                     "error": "privacy WAL is unavailable and the failure "
                     "policy is reject-new-charges: no charge was made and "
@@ -922,21 +945,18 @@ class MechanismServer:
                     user, alpha, label=f"serve:{key[:12]}", idem=idem
                 )
             else:
-                self.metrics["ledger_unavailable"] += 1
+                tally["ledger_unavailable"] += 1
                 return 503, {
                     "error": f"privacy ledger unavailable: {err}; the "
                     "charge was not recorded and no statistic was "
                     "released",
                     "retry_after": round(breaker.retry_after(), 4),
                 }
-        if obs is not None:
-            self._outcome_counts[decision.outcome] += 1
+        tally[decision.outcome] += 1
         if decision.outcome == "replayed":
-            self.metrics["replayed"] += 1
             status, response = decision.replay
             return status, dict(response)
         if decision.outcome == "rejected":
-            self.metrics["rejected_budget"] += 1
             return 429, {
                 "error": (
                     f"release at alpha={alpha} would take user {user!r} "
@@ -961,7 +981,7 @@ class MechanismServer:
             # policy: the charge may be on disk but cannot be proven
             # durable, so the response is withheld. Over-protects the
             # user's budget; never under.
-            self.metrics["ledger_unavailable"] += 1
+            tally["ledger_unavailable"] += 1
             return 503, {
                 "error": f"durability lost mid-batch: {err}; the response "
                 "is withheld (the charge, if journaled, only "
@@ -969,9 +989,8 @@ class MechanismServer:
                 "retry_after": round(self.breaker.retry_after(), 4),
             }
         except Exception as err:  # the gather is pure numpy; be loud
-            self.metrics["errors"] += 1
+            tally["errors"] += 1
             return 500, {"error": f"sampling failed: {err}"}
-        self.metrics["published"] += 1
         if obs is not None:
             # Deferred latency fold: the hot path only appends
             # ``(deployment, elapsed)``; bucketing happens in one
@@ -990,12 +1009,11 @@ class MechanismServer:
             "key": key[:12],
             "cumulative_alpha": str(decision.cumulative_alpha),
         }
+        tally["published"] += 1
         if degraded_from is not None:
             response["degraded"] = "geometric"
             response["requested_key"] = degraded_from[:12]
-            self.metrics["degraded"] += 1
-            if obs is not None:
-                obs.degraded_responses.inc()
+            tally["degraded"] += 1
         if self.breaker.open and self.breaker.policy == "memory":
             # The alarm in memory-mode-with-alarm: every volatile
             # release says so (alongside /healthz, /readyz, and the
@@ -1025,7 +1043,6 @@ class MechanismServer:
         if not was_open:
             obs = self._obs
             if obs is not None:
-                obs.breaker_trips.labels("open").inc()
                 # Bypasses trace sampling — a durability outage is
                 # always worth a record.
                 obs.tracer.event(
@@ -1077,7 +1094,6 @@ class MechanismServer:
         breaker.reset()
         obs = self._obs
         if obs is not None:
-            obs.breaker_trips.labels("recover").inc()
             obs.tracer.event("wal.breaker-recovered")
         return True
 
@@ -1254,8 +1270,8 @@ class MechanismServer:
                     "__content_type__": _PROM_CONTENT_TYPE,
                 }
             return 200, {
-                "metrics": dict(self.metrics),
-                "batcher": dict(self.batcher.stats),
+                "metrics": self.metrics,
+                "batcher": self.batcher.stats,
                 "admission": (
                     None
                     if self.admission is None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,30 @@ def _no_ambient_solve_cache(monkeypatch):
     monkeypatch.setattr(
         solve_cache_module, "_default_cache", solve_cache_module._UNSET
     )
+
+
+@pytest.fixture(autouse=True)
+def _fail_on_silent_loop_errors(monkeypatch):
+    """Fail a test during which asyncio's default exception handler ran.
+
+    An exception raised in a loop callback, or stored in a future nobody
+    retrieved, is only logged ("Exception in callback ...") — nothing
+    awaits it, so the test would pass while whatever the callback was
+    serving stays stranded.
+    """
+    fired: list[str] = []
+    default = asyncio.BaseEventLoop.default_exception_handler
+
+    def record(loop, context):
+        fired.append(context.get("message", "unhandled event-loop error"))
+        default(loop, context)
+
+    monkeypatch.setattr(
+        asyncio.BaseEventLoop, "default_exception_handler", record
+    )
+    yield
+    if fired:
+        pytest.fail(f"asyncio default exception handler ran: {fired}")
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
+from repro.obs import MetricsRegistry, Telemetry
 from repro.serving.batching import MicroBatcher
 
 
@@ -299,3 +300,29 @@ class TestStats:
         assert stats["deadline_flushes"] == 1
         assert stats["batches"] == 3
         assert stats["max_batch"] == 2
+
+    def test_batch_above_8192_rows_lands_in_the_top_bucket(self):
+        """A 9,000-row batch resolves every caller: the occupancy tally
+        has a slot for 8,193-16,384 rows, reported under ``16384+`` and
+        folded into the ``le="16384"`` batch-size bucket."""
+        telemetry = Telemetry(MetricsRegistry())
+        batcher = MicroBatcher(
+            Recorder(), max_size=20000, telemetry=telemetry
+        )
+
+        async def go():
+            return await asyncio.wait_for(
+                asyncio.gather(*[batcher.submit(0, r) for r in range(9000)]),
+                timeout=10,
+            )
+
+        values = run(go())
+        assert values == list(range(9000))
+        stats = batcher.stats
+        assert stats["batches"] == 1
+        assert stats["occupancy"]["16384+"] == 1
+        assert stats["occupancy"]["8192"] == 0
+        assert sum(stats["occupancy"].values()) == 1
+        sizes = telemetry.registry.snapshot()["repro_batch_size"]["series"]
+        assert sizes[""]["count"] == 1 and sizes[""]["sum"] == 9000
+        assert sizes[""]["p50"] == 16384.0

@@ -347,8 +347,8 @@ class TestAuditEvents:
             await server.stop()
 
         run(go())
-        counter = server.telemetry.audit_findings
-        total = sum(child.value for _, child in counter.children())
+        snapshot = server.telemetry.registry.snapshot()
+        total = sum(snapshot["repro_audit_findings_total"]["series"].values())
         assert total >= 1
         # Events bypass the (zero) sampling rate.
         events = server.telemetry.tracer.recent(10, name="audit.finding")
@@ -398,9 +398,8 @@ class TestBatcherStats:
         batcher = self.run_batch(
             telemetry=telemetry, window=0.001, max_size=4
         )
-        flushes = {
-            labels[0]: child.value
-            for labels, child in telemetry.batch_flushes.children()
-        }
+        snapshot = telemetry.registry.snapshot()
+        flushes = snapshot["repro_batch_flushes_total"]["series"]
         assert flushes == {"max_size": 1.0, "deadline": 1.0}
-        assert telemetry.batch_size.count == batcher.stats["batches"]
+        sizes = snapshot["repro_batch_size"]["series"][""]
+        assert sizes["count"] == batcher.stats["batches"]
